@@ -142,6 +142,14 @@ public:
   /// PIs); the hot paths never call it.
   [[nodiscard]] std::vector<std::uint64_t> chunk_major_words() const;
 
+  /// Packs per-wave bools (`waves[w][i]` = PI i of wave w) into a batch
+  /// whose plane stride equals its chunk count. Every wave's width is
+  /// checked before anything is packed: std::invalid_argument when one is
+  /// not `num_pis`. Bits above the last wave are zero (the tail
+  /// invariant). Cost: each 64-wave x 64-PI tile is read a word per wave
+  /// and turned into plane words by one in-register 64 x 64 bit transpose,
+  /// so the work grows with waves x ceil(num_pis / 64) words, not with
+  /// waves x num_pis bits.
   static wave_batch from_waves(const std::vector<std::vector<bool>>& waves, std::size_t num_pis);
 
 private:
@@ -191,9 +199,12 @@ struct packed_wave_result {
   /// consumers of the pre-transpose layout.
   [[nodiscard]] std::vector<std::uint64_t> chunk_major_words() const;
 
-  /// Unpacks into the per-wave bool layout of wave_run_result::outputs —
-  /// a word-at-a-time transpose (each packed word is loaded once and its
-  /// 64 lanes distributed), not a per-(wave, output) bit probe.
+  /// Unpacks into the per-wave bool layout of wave_run_result::outputs
+  /// (`out[w][p] == output(w, p)`), the inverse of wave_batch::from_waves:
+  /// 64 plane words of a 64-wave x 64-PO tile go through one 64 x 64 bit
+  /// transpose and are stored a row word per wave. Each row is allocated
+  /// and filled once; that per-wave allocation, which the return type
+  /// requires, is most of what the call costs.
   [[nodiscard]] std::vector<std::vector<bool>> unpack() const;
 };
 

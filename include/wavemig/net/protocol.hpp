@@ -217,8 +217,18 @@ inline void words_from_wire(std::uint64_t* words, std::size_t count) {
 
 /// Decodes a response body (kind byte included), payload words included
 /// (they are copied out of `body` — the client's read path reads them
-/// straight off the socket instead when it can).
+/// straight off the socket instead when it can). An ok response must pass
+/// check_result_shape.
 [[nodiscard]] wire_response decode_response_body(const std::uint8_t* body, std::size_t size);
+
+/// Throws protocol_error unless a decoded ok result holds exactly `num_pos`
+/// planes of ceil(num_waves / 64) words with no bit set above `num_waves`:
+/// the response-side counterpart of the request checks in
+/// `wave_batch::from_plane_words` (tail_bits::reject). Both client decoders
+/// run it, so `output()`, `plane()` and `unpack()` never read past the
+/// words. The check divides instead of multiplying, so a hostile
+/// `num_waves` cannot wrap it into accepting a short payload.
+void check_result_shape(const engine::packed_wave_result& result);
 
 /// @}
 

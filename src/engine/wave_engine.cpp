@@ -60,6 +60,58 @@ inline void splice_word(std::uint64_t* plane, std::uint64_t word, std::size_t ba
   }
 }
 
+/// Word `word` of a bool vector — its bits [64 * word, 64 * word + 64) at
+/// bits 0..63 — with the bits at and above `width` cleared (`width` is the
+/// number of the vector's bits in that word). `store_bits` writes such a
+/// word back, zeroing the bits above `width`. On libstdc++ with 64-bit
+/// storage words they load and store those words directly instead of
+/// stepping a bit iterator 64 times; the debug-mode container hides the
+/// words, so there, and with other libraries, they fall back to a per-bit
+/// loop. The mask on load matters: a vector<bool> shrunk by resize keeps
+/// stale bits in its last word.
+#if defined(__GLIBCXX__) && !defined(_GLIBCXX_DEBUG) && __SIZEOF_LONG__ == 8
+std::uint64_t load_bits(const std::vector<bool>& v, std::size_t word, std::size_t width) {
+  const std::uint64_t bits = v.begin()._M_p[word];
+  return width >= 64 ? bits : bits & ((std::uint64_t{1} << width) - 1);
+}
+
+void store_bits(std::vector<bool>& v, std::size_t word, std::size_t width, std::uint64_t bits) {
+  v.begin()._M_p[word] = width >= 64 ? bits : bits & ((std::uint64_t{1} << width) - 1);
+}
+#else
+std::uint64_t load_bits(const std::vector<bool>& v, std::size_t word, std::size_t width) {
+  std::uint64_t bits = 0;
+  for (std::size_t b = 0; b < width; ++b) {
+    bits |= static_cast<std::uint64_t>(v[64 * word + b]) << b;
+  }
+  return bits;
+}
+
+void store_bits(std::vector<bool>& v, std::size_t word, std::size_t width, std::uint64_t bits) {
+  for (std::size_t b = 0; b < width; ++b) {
+    v[64 * word + b] = ((bits >> b) & 1u) != 0;
+  }
+}
+#endif
+
+/// In-place LSB-first transpose of a 64 x 64 bit matrix (row r = a[r], column
+/// c = bit c): afterwards bit c of a[r] is the former bit r of a[c]. Six
+/// rounds of masked block swaps; in round j, for every row r with bit j
+/// clear, the columns with bit j set in row r trade places with the
+/// columns with bit j clear in row r + j.
+void transpose64(std::uint64_t* a) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (unsigned r0 = 0; r0 < 64; r0 += 2 * j) {
+      for (unsigned r = r0; r < r0 + j; ++r) {
+        const std::uint64_t t = ((a[r] >> j) ^ a[r + j]) & mask;
+        a[r] ^= t << j;
+        a[r + j] ^= t;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void validate_packed_run(const compiled_netlist& net, std::size_t batch_pis, unsigned phases,
@@ -281,12 +333,31 @@ std::vector<std::uint64_t> wave_batch::chunk_major_words() const {
 
 wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
                                   std::size_t num_pis) {
-  wave_batch batch{num_pis};
-  batch.reserve(waves.size());
   for (const auto& wave : waves) {
-    batch.append(wave);
+    if (wave.size() != num_pis) {
+      throw std::invalid_argument{"wave_batch: each wave needs one value per primary input"};
+    }
   }
-  return batch;
+  // Per 64-wave chunk and 64-PI block: one row word per wave, transposed
+  // into one plane word per PI. Rows past the last wave stay zero, so the
+  // tail bits of every plane's last chunk come out zero.
+  const std::size_t chunks = (waves.size() + 63) / 64;
+  std::vector<std::uint64_t> words(num_pis * chunks);
+  std::uint64_t tile[64];
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lanes = std::min<std::size_t>(64, waves.size() - c * 64);
+    for (std::size_t b = 0; b * 64 < num_pis; ++b) {
+      const std::size_t width = std::min<std::size_t>(64, num_pis - b * 64);
+      for (std::size_t w = 0; w < 64; ++w) {
+        tile[w] = w < lanes ? load_bits(waves[c * 64 + w], b, width) : 0;
+      }
+      transpose64(tile);
+      for (std::size_t i = 0; i < width; ++i) {
+        words[(b * 64 + i) * chunks + c] = tile[i];
+      }
+    }
+  }
+  return from_plane_words(std::move(words), num_pis, waves.size());
 }
 
 // -------------------------------------------------- packed_wave_result ---
@@ -299,19 +370,26 @@ std::vector<std::uint64_t> packed_wave_result::chunk_major_words() const {
 }
 
 std::vector<std::vector<bool>> packed_wave_result::unpack() const {
-  std::vector<std::vector<bool>> out(num_waves, std::vector<bool>(num_pos, false));
-  // Word-at-a-time transpose: load each packed word once and fan its lanes
-  // out, instead of recomputing chunk/bit indices per (wave, output) pair.
+  // The inverse of from_waves: per 64-wave chunk and 64-PO block, 64 plane
+  // words transposed into one row word per wave. Rows are created chunk by
+  // chunk, so each is filled while it is still in cache.
+  std::vector<std::vector<bool>> out;
+  out.reserve(num_waves);
   const std::size_t chunks = num_chunks();
-  for (std::size_t p = 0; p < num_pos; ++p) {
-    const std::uint64_t* po_plane = words.data() + p * chunks;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lanes = std::min<std::size_t>(64, num_waves - c * 64);
-      std::uint64_t word = po_plane[c];
-      for (std::size_t b = 0; b < lanes; ++b, word >>= 1) {
-        if ((word & 1u) != 0) {
-          out[c * 64 + b][p] = true;
-        }
+  std::uint64_t tile[64];
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lanes = std::min<std::size_t>(64, num_waves - c * 64);
+    for (std::size_t w = 0; w < lanes; ++w) {
+      out.emplace_back(num_pos);
+    }
+    for (std::size_t b = 0; b * 64 < num_pos; ++b) {
+      const std::size_t width = std::min<std::size_t>(64, num_pos - b * 64);
+      for (std::size_t i = 0; i < 64; ++i) {
+        tile[i] = i < width ? words[(b * 64 + i) * chunks + c] : 0;
+      }
+      transpose64(tile);
+      for (std::size_t w = 0; w < lanes; ++w) {
+        store_bits(out[c * 64 + w], b, width, tile[w]);
       }
     }
   }

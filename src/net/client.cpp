@@ -196,6 +196,7 @@ wire_response wire_client::receive_from_socket() {
       throw socket_error{"wire: connection closed mid-response"};
     }
     words_from_wire(resp.result.words.data(), words);
+    check_result_shape(resp.result);
   } else {
     if (rest < 4) {
       throw protocol_error{"wire: error response lengths disagree"};

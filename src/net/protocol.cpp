@@ -251,6 +251,7 @@ wire_response decode_response_body(const std::uint8_t* body, std::size_t size) {
       std::memcpy(out.result.words.data(), raw.data(), raw.size());
       words_from_wire(out.result.words.data(), words);
     }
+    check_result_shape(out.result);
   } else {
     const std::uint32_t message_len = r.u32();
     out.message = r.str(message_len);
@@ -259,6 +260,25 @@ wire_response decode_response_body(const std::uint8_t* body, std::size_t size) {
     }
   }
   return out;
+}
+
+void check_result_shape(const engine::packed_wave_result& result) {
+  const std::size_t chunks = result.num_waves / 64 + (result.num_waves % 64 != 0 ? 1 : 0);
+  const std::size_t words = result.words.size();
+  const bool size_matches = result.num_pos == 0
+                                ? words == 0
+                                : words % result.num_pos == 0 && words / result.num_pos == chunks;
+  if (!size_matches) {
+    throw protocol_error{"wire: result words disagree with num_pos x ceil(num_waves / 64)"};
+  }
+  if (const std::size_t live = result.num_waves % 64; live != 0) {
+    const std::uint64_t above = ~((std::uint64_t{1} << live) - 1);
+    for (std::size_t p = 0; p < result.num_pos; ++p) {
+      if ((result.words[p * chunks + chunks - 1] & above) != 0) {
+        throw protocol_error{"wire: stray result bits above num_waves"};
+      }
+    }
+  }
 }
 
 }  // namespace wavemig::net

@@ -9,6 +9,7 @@
 #include "wavemig/buffer_insertion.hpp"
 #include "wavemig/engine/compiled_netlist.hpp"
 #include "wavemig/gen/arith.hpp"
+#include "wavemig/gen/misc.hpp"
 #include "wavemig/gen/random_mig.hpp"
 #include "wavemig/levels.hpp"
 #include "wavemig/simulation.hpp"
@@ -169,14 +170,59 @@ TEST(packed_waves, empty_batch_is_noop) {
   EXPECT_EQ(run.ticks, 0u);
 }
 
+/// A copy of `bits` whose storage holds set bits above size(): an all-ones
+/// vector resized down keeps them in its last word.
+std::vector<bool> with_stale_bits(const std::vector<bool>& bits) {
+  std::vector<bool> row(bits.size() + 70, true);
+  row.resize(bits.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    row[i] = bits[i];
+  }
+  return row;
+}
+
 TEST(wave_batch, packs_and_unpacks_waves) {
-  const auto waves = random_waves(70, 5, 77);
-  const auto batch = engine::wave_batch::from_waves(waves, 5);
-  EXPECT_EQ(batch.num_waves(), 70u);
-  EXPECT_EQ(batch.num_chunks(), 2u);
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    for (std::size_t i = 0; i < 5; ++i) {
-      EXPECT_EQ(batch.input(w, i), waves[w][i]);
+  // PI widths on both sides of each 64-PI block edge, wave counts on both
+  // sides of each 64-wave chunk edge, rows with and without stale bits
+  // above size(): every bit lands in its plane and the tail stays zero.
+  for (const std::size_t num_pis : {0ull, 1ull, 63ull, 64ull, 65ull, 128ull, 129ull, 200ull}) {
+    for (const std::size_t num_waves : {0ull, 1ull, 63ull, 64ull, 65ull, 130ull, 4097ull}) {
+      auto waves = random_waves(num_waves, num_pis, num_pis * 7919 + num_waves);
+      for (const bool stale : {false, true}) {
+        if (stale) {
+          for (auto& wave : waves) {
+            wave = with_stale_bits(wave);
+          }
+        }
+        const auto batch = engine::wave_batch::from_waves(waves, num_pis);
+        ASSERT_EQ(batch.num_pis(), num_pis);
+        ASSERT_EQ(batch.num_waves(), num_waves);
+        ASSERT_EQ(batch.num_chunks(), (num_waves + 63) / 64);
+        for (std::size_t w = 0; w < num_waves; ++w) {
+          for (std::size_t i = 0; i < num_pis; ++i) {
+            if (batch.input(w, i) != waves[w][i]) {
+              FAIL() << num_pis << " PIs, " << num_waves << " waves, stale " << stale
+                     << ": wave " << w << " pi " << i;
+            }
+          }
+        }
+        if (const std::size_t live = num_waves % 64; live != 0) {
+          for (std::size_t i = 0; i < num_pis; ++i) {
+            ASSERT_EQ(batch.plane(i)[batch.num_chunks() - 1] >> live, 0u)
+                << num_pis << " PIs, " << num_waves << " waves: tail bits in pi " << i;
+          }
+        }
+      }
+
+      // A wrong-width last wave rejects the whole batch.
+      if (num_waves != 0) {
+        waves.back().push_back(true);
+        EXPECT_THROW((void)engine::wave_batch::from_waves(waves, num_pis),
+                     std::invalid_argument);
+        waves.back().resize(num_pis == 0 ? 2 : num_pis - 1);
+        EXPECT_THROW((void)engine::wave_batch::from_waves(waves, num_pis),
+                     std::invalid_argument);
+      }
     }
   }
 }
@@ -354,17 +400,26 @@ TEST(packed_kernel, block_evaluation_is_bit_identical_to_per_chunk) {
 }
 
 TEST(packed_waves, unpack_matches_per_bit_output_probe) {
-  const auto balanced = insert_buffers(gen::multiplier_circuit(4)).net;
-  const engine::compiled_netlist compiled{balanced};
-  const auto waves = random_waves(193, balanced.num_pis(), 55);  // partial last chunk
-  const auto run = engine::run_waves_packed(
-      compiled, engine::wave_batch::from_waves(waves, balanced.num_pis()), 3);
-  const auto unpacked = run.unpack();
-  ASSERT_EQ(unpacked.size(), waves.size());
-  for (std::size_t w = 0; w < run.num_waves; ++w) {
-    ASSERT_EQ(unpacked[w].size(), run.num_pos);
-    for (std::size_t p = 0; p < run.num_pos; ++p) {
-      ASSERT_EQ(unpacked[w][p], run.output(w, p)) << "wave " << w << " po " << p;
+  // 8 POs (one partial 64-PO block) and 130 POs (two full blocks and a
+  // partial one), at wave counts on both sides of each chunk edge.
+  for (const auto& net : {gen::multiplier_circuit(4), gen::wide_io_circuit(390, 130)}) {
+    const auto balanced = insert_buffers(net).net;
+    const engine::compiled_netlist compiled{balanced};
+    for (const std::size_t num_waves : {0ull, 1ull, 63ull, 64ull, 65ull, 130ull, 193ull, 4097ull}) {
+      const auto waves = random_waves(num_waves, balanced.num_pis(), num_waves + 55);
+      const auto run = engine::run_waves_packed(
+          compiled, engine::wave_batch::from_waves(waves, balanced.num_pis()), 3);
+      const auto unpacked = run.unpack();
+      ASSERT_EQ(unpacked.size(), num_waves);
+      for (std::size_t w = 0; w < num_waves; ++w) {
+        ASSERT_EQ(unpacked[w].size(), run.num_pos);
+        for (std::size_t p = 0; p < run.num_pos; ++p) {
+          if (unpacked[w][p] != run.output(w, p)) {
+            FAIL() << run.num_pos << " POs, " << num_waves << " waves: wave " << w << " po "
+                   << p;
+          }
+        }
+      }
     }
   }
 }

@@ -130,6 +130,21 @@ TEST(wire_protocol, run_frame_round_trips_through_encode_and_decode) {
                net::protocol_error);
 }
 
+/// A whole response frame (length word included): the prefix, then the
+/// result words for ok responses.
+std::vector<std::uint8_t> response_frame(const net::wire_response& resp) {
+  auto frame = net::encode_response_frame_prefix(resp);
+  if (resp.status == net::wire_status::ok) {
+    const std::size_t words_at = frame.size();
+    frame.resize(frame.size() + resp.result.words.size() * sizeof(std::uint64_t));
+    if (!resp.result.words.empty()) {
+      std::memcpy(frame.data() + words_at, resp.result.words.data(),
+                  resp.result.words.size() * sizeof(std::uint64_t));
+    }
+  }
+  return frame;
+}
+
 TEST(wire_protocol, response_frames_round_trip_for_ok_and_error) {
   net::wire_response ok;
   ok.id = 11;
@@ -137,17 +152,13 @@ TEST(wire_protocol, response_frames_round_trip_for_ok_and_error) {
   ok.fingerprint = 42;
   ok.result.num_pos = 2;
   ok.result.num_waves = 65;
-  ok.result.words = {5, 6, 7, 8};
+  ok.result.words = {5, 1, 7, 0};  // wave 64 lives in bit 0 of each plane's last word
   ok.result.ticks = 99;
   ok.result.latency_ticks = 12;
   ok.result.initiation_interval = 1;
   ok.result.waves_in_flight = 12;
 
-  auto frame = net::encode_response_frame_prefix(ok);
-  const std::size_t words_at = frame.size();
-  frame.resize(frame.size() + ok.result.words.size() * sizeof(std::uint64_t));
-  std::memcpy(frame.data() + words_at, ok.result.words.data(),
-              ok.result.words.size() * sizeof(std::uint64_t));
+  const auto frame = response_frame(ok);
   const auto round = net::decode_response_body(frame.data() + 4, frame.size() - 4);
   EXPECT_EQ(round.id, ok.id);
   EXPECT_EQ(round.status, net::wire_status::ok);
@@ -165,6 +176,67 @@ TEST(wire_protocol, response_frames_round_trip_for_ok_and_error) {
   EXPECT_EQ(err_round.id, err.id);
   EXPECT_EQ(err_round.status, net::wire_status::admission_rejected);
   EXPECT_EQ(err_round.message, err.message);
+
+  // Ok responses whose words disagree with their declared shape, or carry
+  // bits above num_waves, are protocol errors in both decoders: the
+  // whole-body decoder and the client's streaming read.
+  std::vector<net::wire_response> hostile;
+  const auto shaped = [&](std::size_t num_pos, std::size_t num_waves,
+                          std::vector<std::uint64_t> words) {
+    net::wire_response resp = ok;
+    resp.result.num_pos = num_pos;
+    resp.result.num_waves = num_waves;
+    resp.result.words = std::move(words);
+    hostile.push_back(std::move(resp));
+  };
+  shaped(64, 1000, {0});                                     // 1 word for 64 x 16
+  shaped(2, 65, {5, 1, 7});                                  // one word short
+  shaped(2, 65, {5, 1, 7, 0, 0});                            // one word over
+  shaped(1, ~std::size_t{0}, {});                            // (num_waves + 63) wraps to 0
+  shaped(0, 64, {1});                                        // words with no POs
+  shaped(2, 65, {5, 2, 7, 0});                               // stray bit above wave 64
+  shaped(1, 1, {std::uint64_t{1} << 63});                    // stray bit at the top
+  for (std::size_t k = 0; k < hostile.size(); ++k) {
+    const auto bad = response_frame(hostile[k]);
+    EXPECT_THROW((void)net::decode_response_body(bad.data() + 4, bad.size() - 4),
+                 net::protocol_error)
+        << "hostile response " << k;
+  }
+
+  // The client reads each rejected frame whole, so the next frame still
+  // decodes: a well-formed response after the hostile ones comes through.
+  // The fake server thread owns its listener; the client only needs the port.
+  auto listener = net::tcp_listener::listen_loopback(0);
+  const std::uint16_t port = listener.port();
+  std::thread fake_server{[&hostile, &frame, listener = std::move(listener)]() mutable {
+    try {
+      auto sock = listener.accept();
+      std::uint8_t preamble[8];
+      if (!sock.read_exact(preamble, sizeof preamble)) {
+        return;
+      }
+      sock.write_all(preamble, sizeof preamble);  // the handshake echo
+      for (const auto& resp : hostile) {
+        const auto bad = response_frame(resp);
+        sock.write_all(bad.data(), bad.size());
+      }
+      sock.write_all(frame.data(), frame.size());
+    } catch (const net::socket_error&) {
+      // The client hung up early; its assertions below say why.
+    }
+  }};
+  try {
+    auto client = net::wire_client::connect(port);
+    for (std::size_t k = 0; k < hostile.size(); ++k) {
+      EXPECT_THROW((void)client.receive(), net::protocol_error) << "hostile response " << k;
+    }
+    const auto good = client.receive();
+    EXPECT_EQ(good.id, ok.id);
+    EXPECT_EQ(good.result.words, ok.result.words);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "client: " << e.what();
+  }
+  fake_server.join();
 }
 
 // ------------------------------------------------- the differential pin ---
