@@ -37,7 +37,10 @@ void write_mig_file(const mig_network& net, const std::string& path,
                     const std::string& model_name = "mig");
 
 /// Reads the native format. Round-trips with write_mig (structure and names
-/// preserved up to majority canonicalization).
+/// preserved up to majority canonicalization). Reads the whole stream into
+/// one buffer first and parses views of it. Throws parse_error with the
+/// 1-based line number; a line with several undefined operands reports the
+/// leftmost one.
 mig_network read_mig(std::istream& is);
 mig_network read_mig_file(const std::string& path);
 

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace wavemig::io {
 
@@ -11,6 +12,8 @@ namespace wavemig::io {
 /// reader in io/ — files written on Windows (CRLF) or with trailing
 /// whitespace parse identically to clean ones.
 void strip_line_ending(std::string& line);
+/// The same rule for a line held as a view: `line` without its debris.
+[[nodiscard]] std::string_view strip_line_ending(std::string_view line);
 
 /// Parses a non-negative decimal count with an explicit overflow bound:
 /// rejects empty tokens, non-digit characters, and any value above `max`

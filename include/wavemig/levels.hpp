@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "wavemig/mig.hpp"
@@ -33,6 +34,17 @@ std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_ma
 /// consumer fan-in slot and every primary output it feeds. A slot is a
 /// physical connection: a node consuming the same driver through several
 /// fan-in positions occupies several slots.
+///
+/// The lists are stored flat (compressed sparse rows): driver `n`'s edges
+/// are `edges.flat[edges.offset[n] .. edges.offset[n + 1])`. Within one
+/// driver the order is fixed: gate consumers by ascending node index, then
+/// fan-in slot, followed by the primary outputs by ascending position.
+/// Buffer insertion and fan-out restriction build their trees in this
+/// order, so it determines their output netlists.
+///
+/// `edges[n]` is a view into the map, valid only while the map lives:
+/// keep the map in a variable first, and never range over
+/// `compute_fanouts(net).edges[n]` (the temporary dies before the loop).
 struct fanout_map {
   static constexpr node_index po_consumer = std::numeric_limits<node_index>::max();
 
@@ -41,10 +53,22 @@ struct fanout_map {
     std::uint32_t slot;   ///< fan-in position, or PO position for outputs
   };
 
-  std::vector<std::vector<edge>> edges;  ///< indexed by driver node
+  struct edge_rows {
+    std::vector<std::uint32_t> offset;  ///< num_nodes + 1 row starts into `flat`
+    std::vector<edge> flat;             ///< every edge, grouped by driver
+
+    /// Edges of driver `n`.
+    [[nodiscard]] std::span<const edge> operator[](node_index n) const {
+      return {flat.data() + offset[n], flat.data() + offset[n + 1]};
+    }
+  };
+
+  edge_rows edges;  ///< indexed by driver node
 
   /// Number of physical consumer connections of `n` (gate slots + POs).
-  [[nodiscard]] std::size_t degree(node_index n) const { return edges[n].size(); }
+  [[nodiscard]] std::size_t degree(node_index n) const {
+    return edges.offset[n + 1] - edges.offset[n];
+  }
 };
 
 /// Computes the fan-out map. Constant drivers are given empty edge lists:
@@ -67,5 +91,7 @@ struct network_stats {
 };
 
 network_stats compute_stats(const mig_network& net);
+/// Same, with the depth taken from already computed `levels` of `net`.
+network_stats compute_stats(const mig_network& net, const level_map& levels);
 
 }  // namespace wavemig

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "wavemig/signal.hpp"
@@ -109,14 +108,20 @@ public:
   }
 
   [[nodiscard]] node_kind kind(node_index n) const { return nodes_[n].kind; }
-  [[nodiscard]] bool is_constant(node_index n) const { return nodes_[n].kind == node_kind::constant; }
+  /// Node 0 is the only constant node, so this reads no node.
+  [[nodiscard]] bool is_constant(node_index n) const { return n == 0; }
   [[nodiscard]] bool is_pi(node_index n) const { return nodes_[n].kind == node_kind::primary_input; }
   [[nodiscard]] bool is_majority(node_index n) const { return nodes_[n].kind == node_kind::majority; }
   [[nodiscard]] bool is_buffer(node_index n) const { return nodes_[n].kind == node_kind::buffer; }
   [[nodiscard]] bool is_fanout_gate(node_index n) const { return nodes_[n].kind == node_kind::fanout; }
 
   /// Fan-in signals of a node (empty span for constants and PIs).
-  [[nodiscard]] std::span<const signal> fanins(node_index n) const;
+  [[nodiscard]] std::span<const signal> fanins(node_index n) const {
+    // Used slots per node_kind: constant, primary_input, majority, buffer, fanout.
+    static constexpr std::array<std::uint8_t, 5> arity{0, 0, 3, 1, 1};
+    const auto& nd = nodes_[n];
+    return {nd.fanin.data(), arity[static_cast<std::size_t>(nd.kind)]};
+  }
 
   /// All PI node indices in creation order.
   [[nodiscard]] const std::vector<node_index>& pis() const { return pis_; }
@@ -163,20 +168,17 @@ public:
 
 private:
   signal lookup_or_create_maj(signal a, signal b, signal c, bool output_complemented);
-
-  struct maj_key {
-    std::array<std::uint32_t, 3> raw;
-    friend bool operator==(const maj_key&, const maj_key&) = default;
-  };
-  struct maj_key_hash {
-    std::size_t operator()(const maj_key& k) const noexcept;
-  };
+  void grow_strash();
 
   std::vector<node> nodes_;
   std::vector<node_index> pis_;
   std::vector<std::string> pi_names_;
   std::vector<output> pos_;
-  std::unordered_map<maj_key, node_index, maj_key_hash> strash_;
+  /// Structural hash of the majority nodes: open addressing with linear
+  /// probing over node indices, keyed by each node's own sorted fan-in
+  /// array. 0 (the constant node, never a majority) marks a free slot. The
+  /// capacity is a power of two and at least twice the majority count.
+  std::vector<node_index> strash_;
   std::size_t num_majorities_{0};
   std::size_t num_buffers_{0};
   std::size_t num_fanouts_{0};

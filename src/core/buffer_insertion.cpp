@@ -2,21 +2,17 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
+#include "tap_table.hpp"
 #include "wavemig/levels.hpp"
 
 namespace wavemig {
 
 namespace {
-
-/// Key identifying one physical consumer connection of a driver: either a
-/// fan-in slot of a node or a primary-output position.
-std::uint64_t edge_key(node_index consumer, std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(consumer) << 32) | slot;
-}
 
 class balance_builder {
 public:
@@ -24,7 +20,8 @@ public:
       : old_{old_net},
         options_{options},
         levels_{compute_schedule(old_net, options.schedule)},
-        fanouts_{compute_fanouts(old_net)} {}
+        fanouts_{compute_fanouts(old_net)},
+        taps_{old_net} {}
 
   buffer_insertion_result run() {
     buffer_insertion_result result;
@@ -61,8 +58,7 @@ public:
       if (old_.is_constant(driver.index())) {
         s = driver;  // constant outputs carry no wave; no padding needed
       } else {
-        s = taps_.at(edge_key(fanout_map::po_consumer, position))
-                .complement_if(driver.is_complemented());
+        s = taps_.at(fanout_map::po_consumer, position).complement_if(driver.is_complemented());
       }
       new_net_.create_po(s, old_.po_name(position));
     }
@@ -109,7 +105,7 @@ private:
   /// Plans the buffer structure hanging off driver `n` (whose rebuilt signal
   /// is `s`) and records the tap signal of every consumer edge.
   void plan_driver(node_index n, signal s) {
-    const auto& edges = fanouts_.edges[n];
+    const auto edges = fanouts_.edges[n];
     if (edges.empty()) {
       return;
     }
@@ -121,87 +117,89 @@ private:
             tap = new_net_.create_buffer(tap);
             record_schedule(tap, levels_[n] + i + 1);
           }
-          taps_[edge_key(e.consumer, e.slot)] = tap;
+          taps_.set(e, tap);
         }
         break;
-      case buffer_strategy::chain: {
+      case buffer_strategy::chain:
         // Algorithm 1: one shared chain; fan-outs sorted by required depth
         // tap it at their position (extending lazily gives the identical
         // structure for any processing order).
-        std::vector<signal> chain{s};
+        chain_.assign(1, s);
         for (const auto& e : edges) {
           const std::uint32_t gap = gap_of(n, e);
-          while (chain.size() <= gap) {
-            chain.push_back(new_net_.create_buffer(chain.back()));
-            record_schedule(chain.back(),
-                            levels_[n] + static_cast<std::uint32_t>(chain.size()) - 1);
+          while (chain_.size() <= gap) {
+            chain_.push_back(new_net_.create_buffer(chain_.back()));
+            record_schedule(chain_.back(),
+                            levels_[n] + static_cast<std::uint32_t>(chain_.size()) - 1);
           }
-          taps_[edge_key(e.consumer, e.slot)] = chain[gap];
+          taps_.set(e, chain_[gap]);
         }
         break;
-      }
       case buffer_strategy::tree:
         plan_tree(n, s, edges);
         break;
     }
   }
 
-  void plan_tree(node_index n, signal s, const std::vector<fanout_map::edge>& edges) {
+  void plan_tree(node_index n, signal s, std::span<const fanout_map::edge> edges) {
     const std::uint64_t cap =
         options_.fanout_limit ? *options_.fanout_limit : std::numeric_limits<std::uint64_t>::max();
 
+    gaps_.clear();
     std::uint32_t max_gap = 0;
     for (const auto& e : edges) {
-      max_gap = std::max(max_gap, gap_of(n, e));
+      gaps_.push_back(gap_of(n, e));
+      max_gap = std::max(max_gap, gaps_.back());
     }
 
-    // taps_at[p]: consumer edges attaching after p buffers.
-    std::vector<std::vector<const fanout_map::edge*>> taps_at(max_gap + 1);
-    for (const auto& e : edges) {
-      taps_at[gap_of(n, e)].push_back(&e);
+    // Stable counting sort of the edges by gap: by_gap_[tap_start_[p] ..
+    // tap_start_[p + 1]) are the edges attaching after p buffers, in edge
+    // order. Counts go to tap_start_[p + 2]; placing advances each row's
+    // start at tap_start_[p + 1] to its end, the next row's start.
+    tap_start_.assign(max_gap + 3, 0);
+    for (const std::uint32_t gap : gaps_) {
+      ++tap_start_[gap + 2];
     }
+    std::partial_sum(tap_start_.begin(), tap_start_.end(), tap_start_.begin());
+    by_gap_.resize(edges.size());
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      by_gap_[tap_start_[gaps_[i] + 1]++] = i;
+    }
+    const auto taps_at = [&](std::uint32_t p) -> std::uint64_t {
+      return tap_start_[p + 1] - tap_start_[p];
+    };
 
     // Bottom-up vertex counts: vertices at position p drive the taps at p
     // plus the carrier buffers at p+1.
-    std::vector<std::uint64_t> vertices(max_gap + 2, 0);
+    vertices_.assign(max_gap + 2, 0);
     for (std::uint32_t p = max_gap; p >= 1; --p) {
-      const std::uint64_t demand = taps_at[p].size() + vertices[p + 1];
+      const std::uint64_t demand = taps_at(p) + vertices_[p + 1];
       // Overflow-safe ceiling division (cap may be the unlimited sentinel).
-      vertices[p] = demand == 0 ? 0 : 1 + (demand - 1) / cap;
+      vertices_[p] = demand == 0 ? 0 : 1 + (demand - 1) / cap;
     }
-    if (taps_at[0].size() + vertices[1] > cap) {
+    if (taps_at(0) + vertices_[1] > cap) {
       throw std::invalid_argument{
           "insert_buffers: driver fan-out exceeds the buffer-tree capacity; "
           "run fanout restriction first"};
     }
 
-    // Top-down materialization.
-    std::vector<signal> current{s};
-    std::vector<std::uint64_t> used{0};
+    // Top-down materialization: the vertices at one position hand out their
+    // `cap` ports in order, first to the carriers, then to the taps.
+    current_.assign(1, s);
     for (std::uint32_t p = 0; p <= max_gap; ++p) {
-      std::vector<signal> next;
-      std::vector<std::uint64_t> next_used;
-      std::size_t parent = 0;
-      auto take_parent = [&]() -> signal {
-        while (used[parent] >= cap) {
-          ++parent;
-        }
-        ++used[parent];
-        return current[parent];
-      };
+      std::uint64_t taken = 0;
+      const auto take_parent = [&] { return current_[taken++ / cap]; };
+      next_.clear();
       if (p < max_gap) {
-        next.reserve(vertices[p + 1]);
-        for (std::uint64_t i = 0; i < vertices[p + 1]; ++i) {
-          next.push_back(new_net_.create_buffer(take_parent()));
-          record_schedule(next.back(), levels_[n] + p + 1);
-          next_used.push_back(0);
+        for (std::uint64_t i = 0; i < vertices_[p + 1]; ++i) {
+          next_.push_back(new_net_.create_buffer(take_parent()));
+          record_schedule(next_.back(), levels_[n] + p + 1);
         }
       }
-      for (const auto* e : taps_at[p]) {
-        taps_[edge_key(e->consumer, e->slot)] = take_parent();
+      for (std::uint32_t k = tap_start_[p]; k < tap_start_[p + 1]; ++k) {
+        taps_.set(edges[by_gap_[k]], take_parent());
       }
-      current = std::move(next);
-      used = std::move(next_used);
+      std::swap(current_, next_);
     }
   }
 
@@ -211,7 +209,7 @@ private:
     if (old_.is_constant(original.index())) {
       return original;
     }
-    return taps_.at(edge_key(consumer, slot)).complement_if(original.is_complemented());
+    return taps_.at(consumer, slot).complement_if(original.is_complemented());
   }
 
   const mig_network& old_;
@@ -219,8 +217,16 @@ private:
   level_map levels_;
   fanout_map fanouts_;
   mig_network new_net_;
-  std::unordered_map<std::uint64_t, signal> taps_;
+  detail::tap_table taps_;
   std::vector<std::uint32_t> schedule_;  // scheduled level per new node
+  // Per-driver scratch, reused across drivers.
+  std::vector<signal> chain_;
+  std::vector<std::uint32_t> gaps_;       // gap per edge of the driver
+  std::vector<std::uint32_t> tap_start_;  // row starts of by_gap_ per gap
+  std::vector<std::uint32_t> by_gap_;     // edge positions sorted by gap
+  std::vector<std::uint64_t> vertices_;   // tree vertices per position
+  std::vector<signal> current_;
+  std::vector<signal> next_;
 };
 
 }  // namespace

@@ -4,9 +4,10 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
+#include "tap_table.hpp"
 #include "wavemig/levels.hpp"
 
 namespace wavemig {
@@ -15,20 +16,15 @@ namespace {
 
 constexpr std::int64_t po_deadline = std::numeric_limits<std::int64_t>::max();
 
-std::uint64_t edge_key(node_index consumer, std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(consumer) << 32) | slot;
-}
-
 class restriction_builder {
 public:
   restriction_builder(const mig_network& old_net, const fanout_restriction_options& options)
       : old_{old_net},
         options_{options},
         levels_{compute_levels(old_net)},
-        fanouts_{compute_fanouts(old_net)} {
-    lower_bound_.assign(old_.num_nodes(), 0);
-    old_.foreach_node([&](node_index n) { lower_bound_[n] = levels_[n]; });
-  }
+        fanouts_{compute_fanouts(old_net)},
+        lower_bound_{levels_.level},
+        taps_{old_net} {}
 
   fanout_restriction_result run() {
     fanout_restriction_result result;
@@ -64,8 +60,7 @@ public:
       const signal driver = old_.po_signal(position);
       signal s = driver;
       if (!old_.is_constant(driver.index())) {
-        s = taps_.at(edge_key(fanout_map::po_consumer, position))
-                .complement_if(driver.is_complemented());
+        s = taps_.at(fanout_map::po_consumer, position).complement_if(driver.is_complemented());
       }
       new_net_.create_po(s, old_.po_name(position));
     }
@@ -97,11 +92,11 @@ private:
     if (old_.is_constant(original.index())) {
       return original;
     }
-    return taps_.at(edge_key(consumer, slot)).complement_if(original.is_complemented());
+    return taps_.at(consumer, slot).complement_if(original.is_complemented());
   }
 
   void plan_driver(node_index n, signal s, fanout_restriction_result& result) {
-    const auto& edges = fanouts_.edges[n];
+    const auto edges = fanouts_.edges[n];
     if (edges.empty()) {
       return;
     }
@@ -123,39 +118,32 @@ private:
 
     // BFS FOG placement: ports are (depth, driving vertex); placing a FOG on
     // the shallowest free port keeps the tree as shallow as possible.
-    struct port {
-      std::uint32_t depth;  // consumer attached here sits at level >= L + depth
-      signal vertex;
-    };
-    std::vector<port> ports{{1, s}};
+    ports_.assign(1, {1, s});
     std::size_t head = 0;
     for (std::uint64_t i = 0; i < fog_count; ++i) {
-      const port p = ports[head++];
+      const port p = ports_[head++];
       const signal fog = new_net_.create_fanout(p.vertex);
       sync_levels();
       for (std::uint64_t j = 0; j < k; ++j) {
-        ports.push_back({p.depth + 1, fog});
+        ports_.push_back({p.depth + 1, fog});
       }
     }
 
     // Deadline of a consumer edge: the deepest port it can take without
     // being delayed. PO edges absorb any depth (they are padded later).
-    struct pending {
-      const fanout_map::edge* e;
-      std::int64_t deadline;
-    };
-    std::vector<pending> consumers;
-    consumers.reserve(edges.size());
+    // Sorted by deadline, ties in edge order.
+    consumers_.clear();
     for (const auto& e : edges) {
       std::int64_t deadline = po_deadline;
       if (e.consumer != fanout_map::po_consumer) {
         deadline = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(lower_bound_[e.consumer]) - static_cast<std::int64_t>(L));
       }
-      consumers.push_back({&e, deadline});
+      consumers_.push_back({&e, deadline});
     }
-    std::stable_sort(consumers.begin(), consumers.end(),
-                     [](const pending& a, const pending& b) { return a.deadline < b.deadline; });
+    std::sort(consumers_.begin(), consumers_.end(), [](const pending& a, const pending& b) {
+      return std::tie(a.deadline, a.e) < std::tie(b.deadline, b.e);
+    });
 
     // Ports remaining from `head` are free, already sorted by depth. The
     // deepest assigned port bounds residual stretching: within the FOG
@@ -163,10 +151,10 @@ private:
     // leave residual paths that jump through graph levels", Fig. 6b), but
     // slack beyond the tree is left for the shared chains of the buffer
     // insertion pass.
-    const std::uint32_t tree_depth = ports[head + consumers.size() - 1].depth;
-    for (std::size_t i = 0; i < consumers.size(); ++i) {
-      const port& p = ports[head + i];
-      const pending& c = consumers[i];
+    const std::uint32_t tree_depth = ports_[head + consumers_.size() - 1].depth;
+    for (std::size_t i = 0; i < consumers_.size(); ++i) {
+      const port& p = ports_[head + i];
+      const pending& c = consumers_[i];
       const bool is_po = c.e->consumer == fanout_map::po_consumer;
       signal tap = p.vertex;
       std::uint32_t arrival = L + p.depth;
@@ -187,7 +175,7 @@ private:
   }
 
   void record_tap(const fanout_map::edge& e, signal tap, std::uint32_t arrival) {
-    taps_[edge_key(e.consumer, e.slot)] = tap;
+    taps_.set(e, tap);
     if (e.consumer != fanout_map::po_consumer) {
       lower_bound_[e.consumer] = std::max(lower_bound_[e.consumer], arrival);
     }
@@ -200,7 +188,19 @@ private:
   mig_network new_net_;
   std::vector<std::uint32_t> new_levels_;
   std::vector<std::uint32_t> lower_bound_;  // growing level estimates, old indices
-  std::unordered_map<std::uint64_t, signal> taps_;
+  detail::tap_table taps_;
+
+  struct port {
+    std::uint32_t depth;  // consumer attached here sits at level >= L + depth
+    signal vertex;
+  };
+  struct pending {
+    const fanout_map::edge* e;
+    std::int64_t deadline;
+  };
+  // Per-driver scratch, reused across drivers.
+  std::vector<port> ports_;
+  std::vector<pending> consumers_;
 };
 
 }  // namespace

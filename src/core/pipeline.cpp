@@ -13,17 +13,21 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
 
   const std::optional<unsigned> limit = options.fanout_limit.resolve(options.scenario);
 
-  mig_network current = net;  // copy; passes below rebuild anyway
+  // Each pass rebuilds the network, so the input is only copied when no
+  // pass runs: `current` points at the input until a pass owns a result.
+  const mig_network* current = &net;
+  mig_network rebuilt;
 
   if (limit) {
     fanout_restriction_options fo;
     fo.limit = *limit;
     fo.fill_residual = options.fill_residual;
-    auto restricted = restrict_fanout(current, fo);
+    auto restricted = restrict_fanout(*current, fo);
     result.fogs_added = restricted.fogs_added;
     result.restriction_buffers_added = restricted.buffers_added;
     result.delayed_edges = restricted.delayed_edges;
-    current = std::move(restricted.net);
+    rebuilt = std::move(restricted.net);
+    current = &rebuilt;
   }
 
   // Loss budget after restriction (repeaters are per-edge, so the limit is
@@ -34,10 +38,11 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
   if (budget) {
     loss_budget_options lb;
     lb.max_unregenerated_levels = budget;
-    auto regenerated = enforce_loss_budget(current, lb);
+    auto regenerated = enforce_loss_budget(*current, lb);
     result.repeater_buffers_added = regenerated.repeaters_added;
     result.max_attenuation_run = regenerated.max_run_before;
-    current = std::move(regenerated.net);
+    rebuilt = std::move(regenerated.net);
+    current = &rebuilt;
   }
 
   if (options.insert_buffers) {
@@ -48,15 +53,23 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
       bi.strategy = buffer_strategy::tree;
       bi.fanout_limit = limit;
     }
-    auto balanced = insert_buffers(current, bi);
+    auto balanced = insert_buffers(*current, bi);
     result.balance_buffers_added = balanced.buffers_added;
-    current = std::move(balanced.net);
+    rebuilt = std::move(balanced.net);
+    current = &rebuilt;
   }
 
-  result.final_stats = compute_stats(current);
+  // One set of ASAP levels of the final netlist serves the statistics and
+  // the readiness check, which stays independent of the balancer's schedule.
+  const level_map levels = compute_levels(*current);
+  result.final_stats = compute_stats(*current, levels);
   result.depth_after = result.final_stats.depth;
-  result.wave_ready = check_wave_readiness(current).ready;
-  result.net = std::move(current);
+  result.wave_ready = check_wave_readiness(*current, levels, 0).ready;
+  if (current == &net) {
+    result.net = net;
+  } else {
+    result.net = std::move(rebuilt);
+  }
   return result;
 }
 

@@ -1,8 +1,9 @@
 #include "wavemig/io/mig_format.hpp"
 
+#include <array>
 #include <fstream>
-#include <sstream>
-#include <unordered_map>
+#include <functional>
+#include <string_view>
 #include <vector>
 
 #include "wavemig/io/text_util.hpp"
@@ -69,133 +70,244 @@ void write_mig_file(const mig_network& net, const std::string& path,
 
 namespace {
 
-struct reader_state {
-  mig_network net;
-  std::unordered_map<std::string, signal> symbols;
-  std::size_t line_no{0};
+/// Whitespace as `operator>>` splits tokens in the classic locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
+}
 
-  signal parse_operand(std::string token) {
+/// Cuts the next whitespace-separated token off the front of `rest`; empty
+/// when none is left.
+std::string_view next_token(std::string_view& rest) {
+  std::size_t begin = 0;
+  while (begin < rest.size() && is_space(rest[begin])) {
+    ++begin;
+  }
+  std::size_t end = begin;
+  while (end < rest.size() && !is_space(rest[end])) {
+    ++end;
+  }
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
+std::string_view trim(std::string_view s) {
+  const auto begin = s.find_first_not_of(" \t");
+  if (begin == std::string_view::npos) {
+    return {};
+  }
+  return s.substr(begin, s.find_last_not_of(" \t") - begin + 1);
+}
+
+std::string read_all(std::istream& is) {
+  std::string text;
+  std::array<char, 1 << 16> chunk;
+  while (is.read(chunk.data(), chunk.size()) || is.gcount() > 0) {
+    text.append(chunk.data(), static_cast<std::size_t>(is.gcount()));
+  }
+  return text;
+}
+
+/// "NAME = KIND(op, op, ...)" split into trimmed pieces. Operands are split
+/// on ',' the way getline(stream, piece, ',') splits them: a final empty
+/// piece is not an operand. Up to three are kept; `num_ops` counts all.
+struct assignment {
+  std::string_view name;
+  std::string_view kind;
+  std::array<std::string_view, 3> ops;
+  std::size_t num_ops{0};
+};
+
+/// Returns false if the line is not an assignment.
+bool split_assignment(std::string_view line, assignment& out) {
+  const auto eq = line.find('=');
+  const auto open = line.find('(');
+  const auto close = line.rfind(')');
+  if (eq == std::string_view::npos || open == std::string_view::npos ||
+      close == std::string_view::npos || open > close || eq > open) {
+    return false;
+  }
+  out.name = trim(line.substr(0, eq));
+  out.kind = trim(line.substr(eq + 1, open - eq - 1));
+  out.num_ops = 0;
+  std::string_view inner = line.substr(open + 1, close - open - 1);
+  while (!inner.empty()) {
+    const auto comma = inner.find(',');
+    if (out.num_ops < out.ops.size()) {
+      out.ops[out.num_ops] = trim(inner.substr(0, comma));
+    }
+    ++out.num_ops;
+    if (comma == std::string_view::npos) {
+      break;
+    }
+    inner.remove_prefix(comma + 1);
+  }
+  return !out.name.empty() && !out.kind.empty();
+}
+
+/// Symbols of one read: open addressing with linear probing over views
+/// into the text, at most half full. An empty name marks a free slot
+/// (names are never empty). The table grows with the symbols and is never
+/// sized from the text, so a hostile text of blank lines buys no memory.
+class symbol_table {
+public:
+  [[nodiscard]] const signal* find(std::string_view name) const {
+    const entry& e = slots_[probe(slots_, name, hash(name))];
+    return e.name.empty() ? nullptr : &e.value;
+  }
+
+  /// Adds `name`, which the caller has checked is absent.
+  void insert(std::string_view name, signal value) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      std::vector<entry> grown(2 * slots_.size());
+      for (const entry& e : slots_) {
+        if (!e.name.empty()) {
+          grown[probe(grown, e.name, e.hash)] = e;
+        }
+      }
+      slots_ = std::move(grown);
+    }
+    const std::uint32_t h = hash(name);
+    slots_[probe(slots_, name, h)] = {name, value, h};
+    ++size_;
+  }
+
+private:
+  struct entry {
+    std::string_view name;
+    signal value;
+    std::uint32_t hash;
+  };
+
+  static std::uint32_t hash(std::string_view name) {
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+  }
+
+  /// The slot holding `name`, or the free slot where it belongs.
+  static std::size_t probe(const std::vector<entry>& slots, std::string_view name,
+                           std::uint32_t h) {
+    const std::size_t mask = slots.size() - 1;
+    std::size_t slot = h & mask;
+    while (!slots[slot].name.empty() && (slots[slot].hash != h || slots[slot].name != name)) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  std::vector<entry> slots_ = std::vector<entry>(64);
+  std::size_t size_{0};
+};
+
+class reader {
+public:
+  /// `text` must outlive the reader: symbols are views into it.
+  explicit reader(std::string_view text) : text_{text} {}
+
+  mig_network parse() {
+    for (std::string_view rest = text_; !rest.empty();) {
+      const auto newline = rest.find('\n');
+      const std::string_view line = rest.substr(0, newline);
+      rest.remove_prefix(newline == std::string_view::npos ? rest.size() : newline + 1);
+      ++line_no_;
+      parse_line(line);
+    }
+    return std::move(net_);
+  }
+
+private:
+  void parse_line(std::string_view line) {
+    const auto begin = line.find_first_not_of(" \t\r");
+    if (begin == std::string_view::npos || line[begin] == '#') {
+      return;
+    }
+    line = strip_line_ending(line.substr(begin));
+
+    if (line.starts_with(".model")) {
+      return;
+    }
+    if (line.starts_with(".inputs")) {
+      std::string_view rest = line.substr(7);
+      for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+        if (symbols_.find(name) != nullptr) {
+          throw parse_error{line_no_, "duplicate input '" + std::string{name} + "'"};
+        }
+        symbols_.insert(name, net_.create_pi(std::string{name}));
+      }
+      return;
+    }
+    if (line.starts_with(".output")) {
+      const auto eq = line.find('=');
+      if (eq == std::string_view::npos) {
+        throw parse_error{line_no_, ".output requires '<name> = <operand>'"};
+      }
+      std::string_view left = line.substr(7, eq - 7);
+      std::string_view right = line.substr(eq + 1);
+      const std::string_view name = next_token(left);
+      const std::string_view op = next_token(right);
+      if (name.empty() || op.empty()) {
+        throw parse_error{line_no_, ".output requires '<name> = <operand>'"};
+      }
+      net_.create_po(parse_operand(op), std::string{name});
+      return;
+    }
+
+    assignment a;
+    if (!split_assignment(line, a)) {
+      throw parse_error{line_no_, "unrecognized line '" + std::string{line} + "'"};
+    }
+    if (symbols_.find(a.name) != nullptr) {
+      throw parse_error{line_no_, "redefinition of '" + std::string{a.name} + "'"};
+    }
+    signal s;
+    if (a.kind == "MAJ") {
+      if (a.num_ops != 3) {
+        throw parse_error{line_no_, "MAJ requires three operands"};
+      }
+      const signal x = parse_operand(a.ops[0]);
+      const signal y = parse_operand(a.ops[1]);
+      const signal z = parse_operand(a.ops[2]);
+      s = net_.create_maj(x, y, z);
+    } else if (a.kind == "BUF" || a.kind == "FOG") {
+      if (a.num_ops != 1) {
+        throw parse_error{line_no_, std::string{a.kind} + " requires one operand"};
+      }
+      const signal x = parse_operand(a.ops[0]);
+      s = a.kind == "BUF" ? net_.create_buffer(x) : net_.create_fanout(x);
+    } else {
+      throw parse_error{line_no_, "unknown component kind '" + std::string{a.kind} + "'"};
+    }
+    symbols_.insert(a.name, s);
+  }
+
+  [[nodiscard]] signal parse_operand(std::string_view token) const {
     if (token == "0") {
       return constant0;
     }
     if (token == "1") {
       return constant1;
     }
-    bool complemented = false;
-    if (!token.empty() && token[0] == '!') {
-      complemented = true;
-      token.erase(0, 1);
+    const bool complemented = token.starts_with('!');
+    if (complemented) {
+      token.remove_prefix(1);
     }
-    const auto it = symbols.find(token);
-    if (it == symbols.end()) {
-      throw parse_error{line_no, "use of undefined signal '" + token + "'"};
+    const signal* found = symbols_.find(token);
+    if (found == nullptr) {
+      throw parse_error{line_no_, "use of undefined signal '" + std::string{token} + "'"};
     }
-    return it->second.complement_if(complemented);
+    return found->complement_if(complemented);
   }
-};
 
-/// Splits "NAME = KIND(op, op, op)" into pieces; returns false if the line
-/// is not an assignment.
-bool split_assignment(const std::string& line, std::string& name, std::string& kind,
-                      std::vector<std::string>& ops) {
-  const auto eq = line.find('=');
-  const auto open = line.find('(');
-  const auto close = line.rfind(')');
-  if (eq == std::string::npos || open == std::string::npos || close == std::string::npos ||
-      open > close || eq > open) {
-    return false;
-  }
-  auto trim = [](std::string s) {
-    const auto begin = s.find_first_not_of(" \t");
-    const auto end = s.find_last_not_of(" \t");
-    return begin == std::string::npos ? std::string{} : s.substr(begin, end - begin + 1);
-  };
-  name = trim(line.substr(0, eq));
-  kind = trim(line.substr(eq + 1, open - eq - 1));
-  ops.clear();
-  std::string inner = line.substr(open + 1, close - open - 1);
-  std::stringstream ss{inner};
-  std::string piece;
-  while (std::getline(ss, piece, ',')) {
-    ops.push_back(trim(piece));
-  }
-  return !name.empty() && !kind.empty();
-}
+  std::string_view text_;
+  symbol_table symbols_;
+  mig_network net_;
+  std::size_t line_no_{0};
+};
 
 }  // namespace
 
 mig_network read_mig(std::istream& is) {
-  reader_state st;
-  std::string line;
-  while (std::getline(is, line)) {
-    ++st.line_no;
-    const auto begin = line.find_first_not_of(" \t\r");
-    if (begin == std::string::npos || line[begin] == '#') {
-      continue;
-    }
-    line = line.substr(begin);
-    strip_line_ending(line);
-
-    if (line.rfind(".model", 0) == 0) {
-      continue;
-    }
-    if (line.rfind(".inputs", 0) == 0) {
-      std::stringstream ss{line.substr(7)};
-      std::string name;
-      while (ss >> name) {
-        if (st.symbols.count(name) != 0) {
-          throw parse_error{st.line_no, "duplicate input '" + name + "'"};
-        }
-        st.symbols[name] = st.net.create_pi(name);
-      }
-      continue;
-    }
-    if (line.rfind(".output", 0) == 0) {
-      const auto eq = line.find('=');
-      if (eq == std::string::npos) {
-        throw parse_error{st.line_no, ".output requires '<name> = <operand>'"};
-      }
-      std::stringstream left{line.substr(7, eq - 7)};
-      std::string name;
-      left >> name;
-      std::stringstream right{line.substr(eq + 1)};
-      std::string op;
-      right >> op;
-      if (name.empty() || op.empty()) {
-        throw parse_error{st.line_no, ".output requires '<name> = <operand>'"};
-      }
-      st.net.create_po(st.parse_operand(op), name);
-      continue;
-    }
-
-    std::string name;
-    std::string kind;
-    std::vector<std::string> ops;
-    if (!split_assignment(line, name, kind, ops)) {
-      throw parse_error{st.line_no, "unrecognized line '" + line + "'"};
-    }
-    if (st.symbols.count(name) != 0) {
-      throw parse_error{st.line_no, "redefinition of '" + name + "'"};
-    }
-    signal s;
-    if (kind == "MAJ") {
-      if (ops.size() != 3) {
-        throw parse_error{st.line_no, "MAJ requires three operands"};
-      }
-      s = st.net.create_maj(st.parse_operand(ops[0]), st.parse_operand(ops[1]),
-                            st.parse_operand(ops[2]));
-    } else if (kind == "BUF" || kind == "FOG") {
-      if (ops.size() != 1) {
-        throw parse_error{st.line_no, kind + " requires one operand"};
-      }
-      s = kind == "BUF" ? st.net.create_buffer(st.parse_operand(ops[0]))
-                        : st.net.create_fanout(st.parse_operand(ops[0]));
-    } else {
-      throw parse_error{st.line_no, "unknown component kind '" + kind + "'"};
-    }
-    st.symbols[name] = s;
-  }
-  return std::move(st.net);
+  const std::string text = read_all(is);
+  return reader{text}.parse();
 }
 
 mig_network read_mig_file(const std::string& path) {

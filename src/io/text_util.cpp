@@ -4,11 +4,16 @@
 
 namespace wavemig::io {
 
-void strip_line_ending(std::string& line) {
+std::string_view strip_line_ending(std::string_view line) {
   while (!line.empty() &&
          (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
-    line.pop_back();
+    line.remove_suffix(1);
   }
+  return line;
+}
+
+void strip_line_ending(std::string& line) {
+  line.resize(strip_line_ending(std::string_view{line}).size());
 }
 
 std::size_t parse_count(const std::string& token, std::size_t max, const char* what) {

@@ -13,6 +13,18 @@ void check_signal(const std::vector<mig_network::node>& nodes, signal s, const c
   }
 }
 
+/// Home slot of a sorted fan-in array: FNV-1a over the three raw signal
+/// words, its high half folded into the low one before masking, so every
+/// bit of every fan-in reaches the slot.
+std::size_t strash_slot(const std::array<signal, 3>& fanin, std::size_t mask) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const signal s : fanin) {
+    h ^= s.raw();
+    h *= 1099511628211ull;
+  }
+  return static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+}
+
 }  // namespace
 
 mig_network::mig_network() {
@@ -28,16 +40,6 @@ signal mig_network::create_pi(std::string name) {
   pis_.push_back(index);
   pi_names_.push_back(name.empty() ? "pi" + std::to_string(pis_.size() - 1) : std::move(name));
   return signal{index, false};
-}
-
-std::size_t mig_network::maj_key_hash::operator()(const maj_key& k) const noexcept {
-  // FNV-1a over the three raw signal words.
-  std::size_t h = 1469598103934665603ull;
-  for (auto word : k.raw) {
-    h ^= word;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 signal mig_network::create_maj(signal a, signal b, signal c) {
@@ -73,9 +75,15 @@ signal mig_network::lookup_or_create_maj(signal a, signal b, signal c, bool outp
   std::array<signal, 3> in{a, b, c};
   std::sort(in.begin(), in.end());
 
-  const maj_key key{{in[0].raw(), in[1].raw(), in[2].raw()}};
-  if (const auto it = strash_.find(key); it != strash_.end()) {
-    return signal{it->second, output_complemented};
+  if (2 * (num_majorities_ + 1) > strash_.size()) {
+    grow_strash();
+  }
+  const std::size_t mask = strash_.size() - 1;
+  std::size_t slot = strash_slot(in, mask);
+  for (; strash_[slot] != 0; slot = (slot + 1) & mask) {
+    if (nodes_[strash_[slot]].fanin == in) {
+      return signal{strash_[slot], output_complemented};
+    }
   }
 
   const auto index = static_cast<node_index>(nodes_.size());
@@ -83,9 +91,25 @@ signal mig_network::lookup_or_create_maj(signal a, signal b, signal c, bool outp
   n.kind = node_kind::majority;
   n.fanin = in;
   nodes_.push_back(n);
-  strash_.emplace(key, index);
+  strash_[slot] = index;
   ++num_majorities_;
   return signal{index, output_complemented};
+}
+
+void mig_network::grow_strash() {
+  // Re-inserts by scanning the nodes in order, so every key read is
+  // sequential.
+  strash_.assign(std::max<std::size_t>(64, 2 * strash_.size()), 0);
+  const std::size_t mask = strash_.size() - 1;
+  for (node_index n = 1; n < nodes_.size(); ++n) {
+    if (nodes_[n].kind == node_kind::majority) {
+      std::size_t slot = strash_slot(nodes_[n].fanin, mask);
+      while (strash_[slot] != 0) {
+        slot = (slot + 1) & mask;
+      }
+      strash_[slot] = n;
+    }
+  }
 }
 
 signal mig_network::create_xor(signal a, signal b) {
@@ -140,19 +164,6 @@ std::uint32_t mig_network::create_po(signal driver, std::string name) {
   const auto position = static_cast<std::uint32_t>(pos_.size());
   pos_.push_back(output{driver, name.empty() ? "po" + std::to_string(position) : std::move(name)});
   return position;
-}
-
-std::span<const signal> mig_network::fanins(node_index n) const {
-  const auto& nd = nodes_[n];
-  switch (nd.kind) {
-    case node_kind::majority:
-      return {nd.fanin.data(), 3};
-    case node_kind::buffer:
-    case node_kind::fanout:
-      return {nd.fanin.data(), 1};
-    default:
-      return {};
-  }
 }
 
 }  // namespace wavemig

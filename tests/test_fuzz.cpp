@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "wavemig/gen/random_mig.hpp"
+#include "wavemig/gen/suite.hpp"
 #include "wavemig/io/blif.hpp"
 #include "wavemig/io/mig_format.hpp"
 #include "wavemig/io/verilog.hpp"
@@ -102,11 +103,56 @@ void corruption_sweep(const std::string& original, Reader read, std::uint64_t se
   }
 }
 
+/// read_mig parses untrusted text (a server's inline netlists), so its
+/// contract is tighter than "parse or throw": only io::parse_error may
+/// escape, and whatever it accepts must round-trip write_mig -> read_mig ->
+/// write_mig to the same text.
 TEST(io_fuzz, mig_reader_survives_corruption) {
-  const auto net = gen::random_mig({8, 60, 0.4, 8, 5});
-  std::stringstream ss;
-  io::write_mig(net, ss);
-  corruption_sweep(ss.str(), [](std::istream& is) { return io::read_mig(is); }, 101);
+  const auto text_of = [](const mig_network& net) {
+    std::ostringstream os;
+    io::write_mig(net, os);
+    return os.str();
+  };
+  // A random logic net, and a pipelined suite circuit for BUF and FOG lines.
+  const std::string sources[] = {text_of(gen::random_mig({8, 60, 0.4, 8, 5})),
+                                 text_of(wave_pipeline(gen::build_benchmark("sasc")).net)};
+  static const char garbage[] = "\0\n\r,();!|&~#.=xyz019 \t";
+  std::mt19937_64 rng{101};
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = sources[trial % 2];
+    const int edits = 1 + static_cast<int>(rng() % 4);
+    for (int e = 0; e < edits && !mutated.empty(); ++e) {
+      const auto position = rng() % mutated.size();
+      switch (rng() % 4) {
+        case 0:  // replace
+          mutated[position] = garbage[rng() % (sizeof(garbage) - 1)];
+          break;
+        case 1:  // truncate
+          mutated.resize(position);
+          break;
+        case 2:  // duplicate a chunk
+          mutated.insert(position, mutated.substr(position / 2, 1 + rng() % 40));
+          break;
+        default:  // erase
+          mutated.erase(position, 1 + rng() % 8);
+          break;
+      }
+    }
+    std::string once;
+    try {
+      std::istringstream is{mutated};
+      once = text_of(io::read_mig(is));
+    } catch (const io::parse_error&) {
+      continue;
+    }
+    ++accepted;
+    std::istringstream again{once};
+    EXPECT_EQ(text_of(io::read_mig(again)), once) << "trial " << trial;
+  }
+  // Most edits break the file; some must leave it well-formed.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 2000u);
 }
 
 TEST(io_fuzz, blif_reader_survives_corruption) {

@@ -103,6 +103,15 @@ n3 = FOG(n2)
 TEST(mig_format, error_use_before_definition) {
   std::stringstream ss{".inputs a b\nn1 = MAJ(a, b, n2)\nn2 = BUF(n1)\n.output f = n1\n"};
   EXPECT_THROW(io::read_mig(ss), io::parse_error);
+  // With several undefined operands, the leftmost one is reported.
+  std::stringstream ss2{".inputs a\nn1 = MAJ(a, x, y)\n"};
+  try {
+    io::read_mig(ss2);
+    FAIL() << "expected parse_error";
+  } catch (const io::parse_error& e) {
+    EXPECT_EQ(e.line(), 2u);
+    EXPECT_STREQ(e.what(), "line 2: use of undefined signal 'x'");
+  }
 }
 
 TEST(mig_format, error_redefinition) {

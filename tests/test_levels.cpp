@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "wavemig/gen/arith.hpp"
 
 namespace wavemig {
@@ -113,6 +116,38 @@ TEST(fanouts, edges_and_po_refs) {
   EXPECT_TRUE(found_gate);
   // a feeds both gates.
   EXPECT_EQ(fo.degree(a.index()), 2u);
+
+  // The exact edge sequence of a driver with several gate slots and POs:
+  // gate consumers by node index, then slot, then POs by position.
+  // Buffer insertion and fan-out restriction build their trees in this
+  // order, so it is part of their output.
+  const signal fog = net.create_fanout(m1);
+  const signal m3 = net.create_maj(!m1, b, c);  // sorted fan-ins: b, c, !m1
+  net.create_po(!m1, "h");
+  net.create_po(fog, "i");
+  ASSERT_EQ(net.fanins(m2.index())[2].index(), m1.index());  // sorted: a, !b, m1
+  ASSERT_EQ(net.fanins(m3.index())[2].index(), m1.index());
+
+  const auto full = compute_fanouts(net);
+  using pair = std::pair<node_index, std::uint32_t>;
+  const auto sequence = [&](signal driver) {
+    std::vector<pair> out;
+    for (const auto& e : full.edges[driver.index()]) {
+      out.emplace_back(e.consumer, e.slot);
+    }
+    return out;
+  };
+  constexpr node_index po = fanout_map::po_consumer;
+  EXPECT_EQ(sequence(m1), (std::vector<pair>{{m2.index(), 2},
+                                             {fog.index(), 0},
+                                             {m3.index(), 2},
+                                             {po, 0},
+                                             {po, 2}}));
+  EXPECT_EQ(sequence(a), (std::vector<pair>{{m1.index(), 0}, {m2.index(), 0}}));
+  EXPECT_EQ(sequence(b), (std::vector<pair>{{m1.index(), 1}, {m2.index(), 1}, {m3.index(), 0}}));
+  EXPECT_EQ(sequence(m2), (std::vector<pair>{{po, 1}}));
+  EXPECT_EQ(sequence(fog), (std::vector<pair>{{po, 3}}));
+  EXPECT_EQ(full.edges.flat.size(), 14u);
 }
 
 TEST(fanouts, constants_have_no_edges) {
