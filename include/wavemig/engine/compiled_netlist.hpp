@@ -83,7 +83,7 @@ public:
   /// Majority operations in the combinational program (after optimization).
   [[nodiscard]] std::size_t num_comb_ops() const { return comb_ops_.size(); }
   /// The combinational program itself, in execution order. Exposed so
-  /// schedulers and tests can audit op order and operand liveness.
+  /// tests can audit op order and operand liveness.
   [[nodiscard]] const std::vector<maj_op>& comb_ops() const { return comb_ops_; }
   /// Value slots of the combinational program: 1 (constant) + PIs + gate
   /// slots. This is the scratch working set of the packed kernel, per word
@@ -92,8 +92,8 @@ public:
   [[nodiscard]] std::size_t comb_slot_count() const { return comb_slot_count_; }
   /// The options this program was compiled with.
   [[nodiscard]] compile_options options() const { return options_; }
-  /// What the optimizer did (all zeros when opt level and schedule level
-  /// are both 0, where `*_before` still describes the raw lowering).
+  /// What the optimizer did (pass counters all zero at opt level 0, where
+  /// `*_before` and `*_after` both describe the raw lowering).
   [[nodiscard]] const optimizer_stats& opt_stats() const { return opt_stats_; }
   /// Physical components in the tick program.
   [[nodiscard]] std::size_t num_tick_ops() const { return tick_ops_.size(); }
@@ -145,9 +145,9 @@ public:
   }
 
   /// Bit-parallel evaluation of 64 input patterns: `pi_words[i]` packs 64
-  /// values of PI i, one output word per PO is appended to `po_words`.
+  /// values of PI i, and `po_words[p]` receives the output word of PO p.
   /// `slots` is reusable scratch — the single-word (W=1) form of the packed
-  /// kernel.
+  /// kernel, behind `simulate_words` and `functionally_equivalent`.
   void eval_words_into(const std::uint64_t* pi_words, std::uint64_t* po_words,
                        std::vector<std::uint64_t>& slots) const;
 
@@ -190,19 +190,10 @@ public:
   /// kernels for every width plus the runtime-dispatched AVX2 / NEON paths
   /// when built in (WAVEMIG_ENABLE_AVX2 / WAVEMIG_ENABLE_NEON). `slots` is
   /// reusable scratch; results are bit-identical to `eval_words_into` per
-  /// chunk, modulo layout.
+  /// chunk (fed chunk c's word of every plane).
   void eval_planes_block(const std::uint64_t* pi_planes, std::size_t pi_stride,
                          std::uint64_t* po_planes, std::size_t po_stride,
                          std::size_t num_chunks, std::vector<std::uint64_t>& slots) const;
-
-  /// Legacy chunk-major adapter of `eval_planes_block`: both sides laid out
-  /// `words[c * num_signals + s]` — chunk c's inputs at
-  /// `pi_words + c * num_pis()`, its outputs at `po_words + c * num_pos()`.
-  /// Pays a strided per-PI gather and per-PO scatter at every block
-  /// boundary; kept for consumers still holding chunk-major words.
-  /// Bit-identical to calling `eval_words_into` once per chunk.
-  void eval_words_block(const std::uint64_t* pi_words, std::uint64_t* po_words,
-                        std::size_t num_chunks, std::vector<std::uint64_t>& slots) const;
 
   /// Convenience wrapper; validates the input width.
   [[nodiscard]] std::vector<std::uint64_t> eval_words(
@@ -240,8 +231,8 @@ private:
   void lower(const mig_network& net, const level_map* schedule);
 
   /// Runs the post-lowering optimizer over the combinational program
-  /// (optimizer.cpp), reading options_ (opt_level + schedule_level). Fills
-  /// opt_stats_; a no-op when both levels are 0.
+  /// (optimizer.cpp) at options_.opt_level. Fills opt_stats_; a no-op at
+  /// opt level 0.
   void optimize();
 
   compile_options options_{};

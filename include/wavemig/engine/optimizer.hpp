@@ -5,11 +5,13 @@
 
 namespace wavemig::engine {
 
-/// Knobs of the compiled-program optimizer that runs after lowering (see
-/// compiled_netlist). Every level produces a program that is bit-identical
-/// in its primary outputs — the optimizer only touches the combinational
-/// program, never the cycle-accurate tick program — so the level is a pure
-/// compile-time / memory / throughput trade-off:
+/// Options of a compiled program: the level of the optimizer that runs
+/// after lowering (see compiled_netlist), plus a scenario tag and an FDM
+/// lane count that reach only the cache key and the clock metadata. Every
+/// opt level produces a program that is bit-identical in its primary
+/// outputs — the optimizer only touches the combinational program, never
+/// the cycle-accurate tick program, and no pass reorders ops — so the level
+/// is a pure compile-time / memory / throughput trade-off:
 ///
 /// * `0` — raw lowering, exactly the ops the network dictates (one majority
 ///   op per majority node, buffers folded by reference forwarding).
@@ -24,28 +26,6 @@ namespace wavemig::engine {
 ///   what keeps the multi-word packed kernel cache-resident on big MIGs.
 struct compile_options {
   unsigned opt_level{0};
-  /// Op-scheduling pass over the combinational program, run after
-  /// folding/CSE/DCE and *before* slot recycling, so the recycler's linear
-  /// scan sees the reordered live ranges and peak liveness (hence
-  /// `comb_slots` at opt level >= 2) drops further. Orthogonal to
-  /// `opt_level` — scheduling reorders whatever ops survive the enabled
-  /// passes, and works even at opt level 0:
-  ///
-  /// * `0` — keep the lowering order (the pre-PR-10 behavior).
-  /// * `1` — liveness-greedy topological list scheduling: among the ready
-  ///   ops, always emit one that kills the most operand values (an operand
-  ///   dies when this op is its last remaining consumer and no PO reads
-  ///   it), so each value is consumed as close to its birth as the
-  ///   dependences allow; ties resolve to original program order.
-  /// * `2` — level 1 with an ILP-aware tie-break: equal-kill candidates
-  ///   prefer an op that does not read a value produced by the last two
-  ///   scheduled ops, so the word kernel is not serialized on
-  ///   store-to-load forwarding between adjacent program lines.
-  ///
-  /// Every level is bit-identical in the primary outputs; the reorder is
-  /// observable only through throughput, `optimizer_stats` and the cache
-  /// key (see options_fingerprint).
-  unsigned schedule_level{0};
   /// Technology-scenario tag of the program (tech_scenario::fingerprint());
   /// 0 = untagged. The tag flows into the batch/serving cache key, so one
   /// session caches and serves different scenarios of the same netlist as
@@ -57,24 +37,12 @@ struct compile_options {
   /// phase, so `ticks` shrinks and `waves_in_flight` grows n-fold while the
   /// computed outputs stay bit-identical.
   unsigned fdm_lanes{1};
-  /// Software-pipelined operand prefetch in `eval_planes_block`: the block
-  /// evaluator runs the op program in small groups and prefetches the next
-  /// group's operand slot words while the current group computes. Off by
-  /// default — measured rather than assumed: on slot-recycled, scheduled
-  /// programs the working set is cache-resident at every size we bench
-  /// (4k–80k gates) and the group-loop overhead makes prefetch a 1–5%
-  /// loss, echoing the PR 5 lesson that "obviously good"
-  /// micro-optimizations can lose. perf_wave_engine gates the shipped
-  /// default against the flipped setting so a future kernel change that
-  /// tips the balance shows up in CI. Never changes outputs.
-  bool op_prefetch{false};
 };
 
-/// Order-insensitive fingerprint of a full `compile_options` value. Joins
-/// the batch/serving cache key so two programs compiled from the same
-/// network under different options — a different opt or schedule level, a
-/// scenario tag, a prefetch toggle — occupy distinct cache entries and can
-/// never cross-serve.
+/// Fingerprint of a full `compile_options` value. Joins the batch/serving
+/// cache key so two programs compiled from the same network under different
+/// options — a different opt level, scenario tag or FDM lane count — occupy
+/// distinct cache entries and can never cross-serve.
 [[nodiscard]] constexpr std::uint64_t options_fingerprint(const compile_options& o) {
   std::uint64_t h = 0x243f6a8885a308d3ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -83,10 +51,8 @@ struct compile_options {
     h ^= h >> 33;
   };
   mix(o.opt_level);
-  mix(o.schedule_level);
   mix(o.scenario_fingerprint);
   mix(o.fdm_lanes);
-  mix(o.op_prefetch ? 1u : 0u);
   return h;
 }
 
@@ -95,13 +61,9 @@ struct compile_options {
 /// raw lowering); the pass counters attribute the op shrinkage.
 /// `peak_live_slots` is the measured peak liveness of the final program
 /// order — the maximum number of gate values simultaneously live — filled
-/// whenever the optimizer runs (opt level >= 1 or schedule level >= 1). At
-/// opt level >= 2 the slot recycler allocates exactly that many gate slots,
-/// so `slots_after` equals `peak_live_slots` plus the fixed constant/PI
-/// slots. `scheduled_op_moves` counts the ops the scheduling pass moved to
-/// a different program position (0 when scheduling is off or changed
-/// nothing), so a schedule-level win is observable directly, not inferred
-/// from wall clock.
+/// whenever the optimizer runs (opt level >= 1). At opt level >= 2 the slot
+/// recycler allocates exactly that many gate slots, so `slots_after` equals
+/// `peak_live_slots` plus the fixed constant/PI slots.
 struct optimizer_stats {
   std::size_t ops_before{0};
   std::size_t ops_after{0};
@@ -111,7 +73,6 @@ struct optimizer_stats {
   std::size_t cse_hits{0};
   std::size_t dead_ops_removed{0};
   std::size_t peak_live_slots{0};
-  std::size_t scheduled_op_moves{0};
 };
 
 }  // namespace wavemig::engine

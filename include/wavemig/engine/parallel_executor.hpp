@@ -301,11 +301,7 @@ struct cache_limits {
 /// that bound is set). The op/slot totals are summed over the resident
 /// compiled programs — with the optimizer on (compile_options::opt_level),
 /// they are what the session actually executes and keeps hot, not what the
-/// raw networks dictate. `comb_peak_live` and `sched_op_moves` sum the
-/// post-schedule optimizer_stats of the resident programs (measured peak
-/// liveness and ops moved by the scheduling pass), so a
-/// compile_options::schedule_level win is observable at the session level
-/// without instrumenting wall clock.
+/// raw networks dictate.
 struct session_stats {
   std::uint64_t hits{0};
   std::uint64_t misses{0};
@@ -314,8 +310,6 @@ struct session_stats {
   std::size_t bytes{0};
   std::size_t comb_ops{0};
   std::size_t comb_slots{0};
-  std::size_t comb_peak_live{0};
-  std::size_t sched_op_moves{0};
 };
 
 /// Serving-style compiled-netlist cache: the first batch against a network
@@ -397,10 +391,10 @@ public:
 
   /// Per-request compile-options override: the program is built with `opts`
   /// instead of this session's defaults, and the cache key carries
-  /// `options_fingerprint(opts)` — so the same netlist compiled at two
-  /// schedule or opt levels occupies two distinct entries and can never
-  /// cross-serve (every key, including the default-options paths above,
-  /// carries its options fingerprint).
+  /// `options_fingerprint(opts)` — so the same netlist compiled at two opt
+  /// levels occupies two distinct entries and can never cross-serve (every
+  /// key, including the default-options paths above, carries its options
+  /// fingerprint).
   [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
                                                                 unsigned phases,
                                                                 std::uint64_t fingerprint,
@@ -431,10 +425,9 @@ private:
     /// never 0).
     std::uint64_t scenario{0};
     /// options_fingerprint() of the full effective compile_options the
-    /// program was built with (opt level, schedule level, prefetch toggle,
-    /// scenario tag, FDM lanes). Two compiles of the same network under
-    /// different options are different executable programs and must never
-    /// share an entry.
+    /// program was built with (opt level, scenario tag, FDM lanes). Two
+    /// compiles of the same network under different options are different
+    /// executable programs and must never share an entry.
     std::uint64_t options{0};
     friend bool operator==(const cache_key&, const cache_key&) = default;
   };

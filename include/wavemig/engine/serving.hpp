@@ -100,12 +100,13 @@ struct submit_options {
   /// Scenario of the request; null = untagged. Shared so fused members and
   /// the coalescing machinery never copy the scenario.
   std::shared_ptr<const tech_scenario> scenario;
-  /// Per-request compile-options override (opt level, schedule level,
-  /// prefetch toggle); nullopt = the session's defaults. The override joins
-  /// the program cache key via its options fingerprint, so the same netlist
-  /// requested at two schedule levels is served by two distinct cached
-  /// programs — and requests compiled under different options never
-  /// coalesce (coalescing keys on the program pointer).
+  /// Per-request compile-options override; nullopt = the session's
+  /// defaults. With a `scenario`, its tag and FDM lanes replace the
+  /// override's. The override joins the program cache key via its options
+  /// fingerprint, so the same netlist requested at two opt levels is served
+  /// by two distinct cached programs — and requests compiled under
+  /// different options never coalesce (coalescing keys on the program
+  /// pointer).
   std::optional<compile_options> compile;
 };
 

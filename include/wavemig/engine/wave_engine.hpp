@@ -13,11 +13,9 @@ namespace wavemig::engine {
 /// Packed wave words are stored **plane-major** (word-transposed): for each
 /// signal (PI of a batch, PO of a result) a contiguous run of chunk words —
 /// `plane(s)[c]` packs waves [64c, 64c + 64) of signal s, wave w at bit
-/// w % 64. The multi-word kernel consumes slot-major word blocks, so
-/// plane-major I/O feeds it with unit-stride copies; the former chunk-major
-/// layout (`words[c * num_signals + s]`) forced a strided gather per PI and
-/// a strided scatter per PO on every block. Chunk-major survives only as
-/// explicit adapters (`append_words`, `chunk_major_words`).
+/// w % 64. This is the engine's only packed layout. The multi-word kernel
+/// consumes slot-major word blocks, so plane-major I/O feeds it with
+/// unit-stride copies: no strided gather per PI or scatter per PO.
 /// @{
 
 /// Read-only view of a plane-major word block: `num_signals` planes of
@@ -79,19 +77,12 @@ public:
   /// width mismatch.
   void append(const std::vector<bool>& wave);
 
-  /// Bulk-appends `num_waves` already packed waves given in the legacy
-  /// **chunk-major** layout (`words[c * num_pis + i]` packs PI i of chunk
-  /// c): the compatibility adapter for producers holding chunk-major words
-  /// (a wire format, a pre-transpose snapshot). Bits above `num_waves` in
-  /// the caller's last chunk are ignored. Words are spliced with at most
-  /// two shifts each — never bit by bit.
-  void append_words(const std::uint64_t* words, std::size_t num_waves);
-
   /// Bulk-appends `num_waves` packed waves given plane-major: PI i's words
   /// at `planes + i * plane_stride`, exactly the layout of `view()` /
-  /// another batch's planes. The native bulk path — when the batch holds a
-  /// multiple of 64 waves it is one contiguous copy per plane. Bits above
-  /// `num_waves` in each plane's last chunk are ignored.
+  /// another batch's planes. When the batch holds a multiple of 64 waves it
+  /// is one contiguous copy per plane; otherwise each word is spliced with
+  /// at most two shifts — never bit by bit. Bits above `num_waves` in each
+  /// plane's last chunk are ignored.
   void append_planes(const std::uint64_t* planes, std::size_t plane_stride,
                      std::size_t num_waves);
 
@@ -136,11 +127,6 @@ public:
   [[nodiscard]] wave_block_view view() const {
     return {words_.data(), chunk_capacity_, num_pis_, num_chunks()};
   }
-
-  /// Legacy chunk-major copy (`out[c * num_pis + i]` packs PI i of chunk
-  /// c) — the adapter for consumers of the pre-transpose layout. O(chunks x
-  /// PIs); the hot paths never call it.
-  [[nodiscard]] std::vector<std::uint64_t> chunk_major_words() const;
 
   /// Packs per-wave bools (`waves[w][i]` = PI i of wave w) into a batch
   /// whose plane stride equals its chunk count. Every wave's width is
@@ -195,10 +181,6 @@ struct packed_wave_result {
     return {words.data(), num_chunks(), num_pos, num_chunks()};
   }
 
-  /// Legacy chunk-major copy (`out[c * num_pos + p]`) — adapter for
-  /// consumers of the pre-transpose layout.
-  [[nodiscard]] std::vector<std::uint64_t> chunk_major_words() const;
-
   /// Unpacks into the per-wave bool layout of wave_run_result::outputs
   /// (`out[w][p] == output(w, p)`), the inverse of wave_batch::from_waves:
   /// 64 plane words of a 64-wave x 64-PO tile go through one 64 x 64 bit
@@ -245,22 +227,6 @@ void fill_packed_clock_metrics(packed_wave_result& result, const compiled_netlis
 /// the first call for a given netlist the kernel performs no allocation.
 void eval_packed_planes(const compiled_netlist& net, const wave_block_view& pis,
                         const wave_block_mut_view& pos, std::vector<std::uint64_t>& scratch);
-
-/// Evaluates one 64-wave chunk in the legacy chunk-major layout:
-/// `chunk_words` holds `num_pis` packed input words, `out_words` receives
-/// `num_pos` packed output words. Kept as the single-word (W = 1) reference
-/// the multi-word paths are tested against.
-void eval_packed_chunk(const compiled_netlist& net, const std::uint64_t* chunk_words,
-                       std::uint64_t* out_words, std::vector<std::uint64_t>& scratch);
-
-/// Evaluates `num_chunks` consecutive chunks given **chunk-major** words on
-/// both sides (`chunk_words[c * num_pis + i]`, `out_words[c * num_pos + p]`)
-/// — the legacy adapter entry: it pays the per-PI gather and per-PO scatter
-/// the plane-major path exists to eliminate. Bit-identical to
-/// `eval_packed_chunk` per chunk and to `eval_packed_planes` modulo layout.
-void eval_packed_block(const compiled_netlist& net, const std::uint64_t* chunk_words,
-                       std::uint64_t* out_words, std::size_t num_chunks,
-                       std::vector<std::uint64_t>& scratch);
 
 /// @}
 

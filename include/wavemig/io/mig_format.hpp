@@ -40,7 +40,10 @@ void write_mig_file(const mig_network& net, const std::string& path,
 /// preserved up to majority canonicalization). Reads the whole stream into
 /// one buffer first and parses views of it. Throws parse_error with the
 /// 1-based line number; a line with several undefined operands reports the
-/// leftmost one.
+/// leftmost one. A signal — an input or an assignment — named `0`, `1` or
+/// `!<anything>` is a parse_error, since operands spelled that way read as
+/// constants and complements; write_mig of a network with such a PI name
+/// therefore does not read back.
 mig_network read_mig(std::istream& is);
 mig_network read_mig_file(const std::string& path);
 

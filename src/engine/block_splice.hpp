@@ -4,7 +4,6 @@
 // parallel_executor.cpp) for assembling and finishing plane-major results.
 // Not installed; nothing outside src/engine includes this.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -38,30 +37,6 @@ inline void splice_block_planes(const std::uint64_t* src, std::size_t block_chun
                                 std::size_t chunk_offset, std::size_t num_planes) {
   for (std::size_t p = 0; p < num_planes; ++p) {
     copy_words_small(dst + p * dst_stride + chunk_offset, src + p * block_chunks, block_chunks);
-  }
-}
-
-/// I/O-tiled word transpose from plane-major (plane s's chunk words at
-/// `src + s * src_stride`) to chunk-major (`dst[c * num_signals + s]`).
-/// Square word tiles sized to the kernel block (8 x 8 = one cache line per
-/// row on either side) keep both the source plane lines and the destination
-/// chunk rows resident across the tile: the naive plane-outer walk touches
-/// every destination chunk row once per *plane*, which on very-wide-PI /
-/// many-PO circuits re-fetches the whole destination `num_signals` times.
-inline void transpose_planes_to_chunk_major(const std::uint64_t* src, std::size_t src_stride,
-                                            std::size_t num_signals, std::size_t num_chunks,
-                                            std::uint64_t* dst) {
-  constexpr std::size_t tile = compiled_netlist::max_block_chunks;
-  for (std::size_t s0 = 0; s0 < num_signals; s0 += tile) {
-    const std::size_t s1 = std::min(num_signals, s0 + tile);
-    for (std::size_t c0 = 0; c0 < num_chunks; c0 += tile) {
-      const std::size_t c1 = std::min(num_chunks, c0 + tile);
-      for (std::size_t c = c0; c < c1; ++c) {
-        for (std::size_t s = s0; s < s1; ++s) {
-          dst[c * num_signals + s] = src[s * src_stride + c];
-        }
-      }
-    }
   }
 }
 

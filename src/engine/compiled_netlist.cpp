@@ -1,7 +1,6 @@
 #include "wavemig/engine/compiled_netlist.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -19,9 +18,9 @@ namespace wavemig::engine {
 namespace {
 
 /// One pass of the majority program over a W-word slot block: the width
-/// dispatch shared by the plane-major and chunk-major entries. W = 4 and
-/// W = 8 go to the SIMD instances (AVX2 / NEON) when built in and supported
-/// at runtime; every width has a fully unrolled portable kernel.
+/// dispatch of `eval_planes_block`. W = 4 and W = 8 go to the SIMD
+/// instances (AVX2 / NEON) when built in and supported at runtime; every
+/// width has a fully unrolled portable kernel.
 void run_ops_block(const compiled_netlist::maj_op* ops, std::size_t num_ops,
                    std::uint64_t* slots, std::size_t w) {
   switch (w) {
@@ -73,35 +72,6 @@ void run_ops_block(const compiled_netlist::maj_op* ops, std::size_t num_ops,
     default:
       detail::eval_ops_portable<1>(ops, num_ops, slots);
       break;
-  }
-}
-
-/// Op-group grain of the software-pipelined kernel loop: while one group
-/// computes, the next group's operand slot words are prefetched. 32 ops is
-/// ~enough majority work (32*W word-lanes) to hide an L2 miss without the
-/// prefetched lines aging out of L1 before their group runs.
-constexpr std::size_t op_prefetch_group = 32;
-
-/// The kernel pass of one W-word block, optionally software-pipelined
-/// (compile_options::op_prefetch): the op program runs in groups of
-/// `op_prefetch_group`, prefetching the next group's operand blocks while
-/// the current group computes. Pays off when the slot working set outruns
-/// L2 (unrecycled or very wide programs); small programs skip the group
-/// loop entirely — one group would mean pure overhead.
-void run_ops_block_pipelined(const compiled_netlist::maj_op* ops, std::size_t num_ops,
-                             std::uint64_t* slots, std::size_t w, bool prefetch) {
-  if (!prefetch || num_ops <= 2 * op_prefetch_group) {
-    run_ops_block(ops, num_ops, slots, w);
-    return;
-  }
-  for (std::size_t off = 0; off < num_ops; off += op_prefetch_group) {
-    const std::size_t g = std::min(op_prefetch_group, num_ops - off);
-    const std::size_t ahead = off + g;
-    if (ahead < num_ops) {
-      detail::prefetch_ops_operands(ops + ahead, std::min(op_prefetch_group, num_ops - ahead),
-                                    slots, w);
-    }
-    run_ops_block(ops + off, g, slots, w);
   }
 }
 
@@ -279,7 +249,7 @@ void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::si
       }
     }
 
-    run_ops_block_pipelined(comb_ops_.data(), comb_ops_.size(), s, w, options_.op_prefetch);
+    run_ops_block(comb_ops_.data(), comb_ops_.size(), s, w);
 
     for (std::size_t p = 0; p < num_pos_; ++p) {
       const slot_ref ref = comb_po_refs_[p];
@@ -291,39 +261,6 @@ void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::si
       }
       for (std::size_t j = 0; j < w; ++j) {
         dst[j] = out_slot[j] ^ mask;  // unit stride, no scatter
-      }
-    }
-    done += w;
-  }
-}
-
-void compiled_netlist::eval_words_block(const std::uint64_t* pi_words,
-                                        std::uint64_t* po_words, std::size_t num_chunks,
-                                        std::vector<std::uint64_t>& slots) const {
-  for (std::size_t done = 0; done < num_chunks;) {
-    const std::size_t w = std::min(max_block_chunks, num_chunks - done);
-    const std::uint64_t* pi = pi_words + done * num_pis_;
-    std::uint64_t* po = po_words + done * num_pos_;
-
-    // Slot-major W-word blocks: slot s occupies slots[s*w .. s*w + w).
-    slots.resize(static_cast<std::size_t>(comb_slot_count_) * w);
-    std::uint64_t* s = slots.data();
-    std::fill(s, s + w, 0);  // constant slot
-    for (std::size_t i = 0; i < num_pis_; ++i) {
-      std::uint64_t* pi_slot = s + (1 + i) * w;
-      for (std::size_t j = 0; j < w; ++j) {
-        pi_slot[j] = pi[j * num_pis_ + i];  // gather: chunk-major -> slot-major
-      }
-    }
-
-    run_ops_block(comb_ops_.data(), comb_ops_.size(), s, w);
-
-    for (std::size_t p = 0; p < num_pos_; ++p) {
-      const slot_ref ref = comb_po_refs_[p];
-      const std::uint64_t* out_slot = s + static_cast<std::size_t>(ref >> 1) * w;
-      const std::uint64_t mask = complement_mask(ref);
-      for (std::size_t j = 0; j < w; ++j) {
-        po[j * num_pos_ + p] = out_slot[j] ^ mask;  // scatter back to chunk-major
       }
     }
     done += w;

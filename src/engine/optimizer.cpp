@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <array>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,9 +19,6 @@ namespace wavemig::engine {
 namespace {
 
 using maj_op = compiled_netlist::maj_op;
-
-/// A constant reference: slot 0 with the complement bit selecting the value.
-constexpr bool is_const(slot_ref r) { return (r >> 1) == 0; }
 
 struct triple_hash {
   std::size_t operator()(const std::array<slot_ref, 3>& key) const noexcept {
@@ -55,188 +51,6 @@ bool fold_majority(slot_ref a, slot_ref b, slot_ref c, slot_ref& out) {
     return true;
   }
   return false;
-}
-
-/// Topological list scheduler (compile_options::schedule_level >= 1):
-/// reorders the combinational program to shorten live ranges, greedily
-/// minimizing liveness. At every step the scheduler picks, among the ready
-/// ops (all operands produced), one that *kills* the most operand values —
-/// an operand dies when this op is its last remaining consumer and no PO
-/// reads it — so values are consumed as close to their birth as the
-/// dependences allow and the slot recycler's free list stays shallow. Run
-/// *before* slot recycling, that is exactly what drops peak liveness and
-/// therefore `comb_slots` at opt level >= 2.
-///
-/// Ties between equal-kill candidates:
-///
-/// * level 1 — original program order (stable, deterministic).
-/// * level 2 — ILP-aware: among max-kill candidates (in original order),
-///   prefer one that does NOT read a value produced by the last two
-///   scheduled ops. A consumer placed right behind its producer serializes
-///   the word kernel on store-to-load forwarding; preferring an independent
-///   neighbor restores the instruction-level parallelism that the original
-///   level-major order had for free. Falls back to original order.
-///
-/// Dead ops (possible at opt level 0, where no DCE ran) participate like
-/// any other op — every op is scheduled exactly once and operands always
-/// precede their consumers, so the result is topologically valid by
-/// construction. Returns the number of ops that changed program position.
-std::size_t schedule_comb_ops(std::vector<maj_op>& ops, const std::vector<slot_ref>& po_refs,
-                              std::uint32_t slot_count, unsigned schedule_level) {
-  const std::size_t n = ops.size();
-  if (n < 2) {
-    return 0;
-  }
-  constexpr std::uint32_t npos = ~std::uint32_t{0};
-  std::vector<std::uint32_t> producer(slot_count, npos);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    producer[ops[i].target] = i;
-  }
-  std::vector<std::uint8_t> po_used(n, 0);
-  for (const slot_ref ref : po_refs) {
-    if (const std::uint32_t p = producer[ref >> 1]; p != npos) {
-      po_used[p] = 1;
-    }
-  }
-
-  // Dependence graph over op indices: per op its distinct producer ops
-  // (gate operands only — constants and PIs are always available and never
-  // die), and per producer its distinct consumer ops.
-  std::vector<std::array<std::uint32_t, 3>> operand_ops(n);
-  std::vector<std::uint8_t> num_operand_ops(n, 0);
-  std::vector<std::uint32_t> indegree(n, 0);
-  std::vector<std::uint32_t> remaining_uses(n, 0);  // unscheduled consumers of op's value
-  std::vector<std::uint32_t> consumer_head(n, npos);
-  std::vector<std::uint32_t> consumer_next;  // linked per-producer consumer lists
-  std::vector<std::uint32_t> consumer_op;
-  consumer_next.reserve(3 * n);
-  consumer_op.reserve(3 * n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto& dist = operand_ops[i];
-    for (const slot_ref ref : {ops[i].a, ops[i].b, ops[i].c}) {
-      const std::uint32_t p = producer[ref >> 1];
-      if (p == npos) {
-        continue;
-      }
-      bool seen = false;
-      for (std::uint8_t k = 0; k < num_operand_ops[i]; ++k) {
-        seen = seen || dist[k] == p;
-      }
-      if (seen) {
-        continue;
-      }
-      dist[num_operand_ops[i]++] = p;
-      ++indegree[i];
-      ++remaining_uses[p];
-      consumer_op.push_back(i);
-      consumer_next.push_back(consumer_head[p]);
-      consumer_head[p] = static_cast<std::uint32_t>(consumer_op.size() - 1);
-    }
-  }
-
-  // kills[i] = operand values that die the moment op i runs: their producer
-  // has exactly one unscheduled consumer left (op i) and no PO reads them.
-  // Maintained incrementally — each producer transitions to
-  // remaining_uses == 1 at most once.
-  std::vector<std::uint8_t> kills(n, 0);
-  std::vector<std::uint8_t> scheduled_flag(n, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint8_t k = 0; k < num_operand_ops[i]; ++k) {
-      const std::uint32_t p = operand_ops[i][k];
-      kills[i] += remaining_uses[p] == 1 && !po_used[p] ? 1 : 0;
-    }
-  }
-
-  // Ready ops bucketed by kill count, each bucket ordered by original op
-  // index (the level-1 tie-break). A fifth pseudo-bucket would never be
-  // reached: an op kills at most its 3 operands.
-  std::array<std::set<std::uint32_t>, 4> buckets;
-  const auto bucket_of = [&](std::uint32_t i) { return std::min<std::uint8_t>(kills[i], 3); };
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) {
-      buckets[bucket_of(i)].insert(i);
-    }
-  }
-
-  // Recently produced values, newest first — the level-2 chaining hint.
-  std::array<std::uint32_t, 4> recent{npos, npos, npos, npos};
-
-  std::vector<maj_op> result;
-  result.reserve(n);
-  for (std::size_t emitted = 0; emitted < n; ++emitted) {
-    int best = 3;
-    while (buckets[best].empty()) {
-      --best;  // never underflows: unscheduled ops exist, so some op is ready
-    }
-    std::uint32_t pick = npos;
-    if (schedule_level >= 2) {
-      // Among max-kill candidates (scanned in original order), prefer one
-      // that does not consume a value produced by the last two scheduled
-      // ops: a consumer scheduled right behind its producer serializes the
-      // kernel on store-to-load forwarding, while an independent op keeps
-      // the word loop's instruction-level parallelism. Bounded scan — the
-      // bucket head is a fine fallback.
-      int scanned = 0;
-      for (auto it = buckets[best].begin(); it != buckets[best].end() && scanned < 8;
-           ++it, ++scanned) {
-        const std::uint32_t c = *it;
-        bool depends_on_recent = false;
-        for (std::uint8_t k = 0; k < num_operand_ops[c]; ++k) {
-          depends_on_recent = depends_on_recent || operand_ops[c][k] == recent[0] ||
-                              operand_ops[c][k] == recent[1];
-        }
-        if (!depends_on_recent) {
-          pick = c;
-          break;
-        }
-      }
-    }
-    if (pick == npos) {
-      pick = *buckets[best].begin();
-    }
-    buckets[bucket_of(pick)].erase(pick);
-    scheduled_flag[pick] = 1;
-    result.push_back(ops[pick]);
-
-    for (std::uint8_t k = 0; k < num_operand_ops[pick]; ++k) {
-      const std::uint32_t p = operand_ops[pick][k];
-      if (--remaining_uses[p] == 1 && !po_used[p]) {
-        // The one unscheduled consumer left gains a kill; re-bucket it if
-        // it is already ready.
-        for (std::uint32_t e = consumer_head[p]; e != npos; e = consumer_next[e]) {
-          const std::uint32_t c = consumer_op[e];
-          if (scheduled_flag[c]) {
-            continue;
-          }
-          if (indegree[c] == 0) {
-            buckets[bucket_of(c)].erase(c);
-            ++kills[c];
-            buckets[bucket_of(c)].insert(c);
-          } else {
-            ++kills[c];
-          }
-          break;
-        }
-      }
-    }
-    for (std::uint32_t e = consumer_head[pick]; e != npos; e = consumer_next[e]) {
-      const std::uint32_t c = consumer_op[e];
-      if (--indegree[c] == 0) {
-        buckets[bucket_of(c)].insert(c);
-      }
-    }
-    for (std::size_t r = recent.size() - 1; r > 0; --r) {
-      recent[r] = recent[r - 1];
-    }
-    recent[0] = pick;
-  }
-
-  std::size_t moves = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    moves += result[i].target != ops[i].target ? 1 : 0;
-  }
-  ops = std::move(result);
-  return moves;
 }
 
 /// Measured peak liveness of a program order: the maximum number of gate
@@ -279,107 +93,94 @@ std::size_t measure_peak_liveness(const std::vector<maj_op>& ops,
 
 void compiled_netlist::optimize() {
   const unsigned opt_level = options_.opt_level;
-  const unsigned schedule_level = options_.schedule_level;
   opt_stats_ = {};
   opt_stats_.ops_before = comb_ops_.size();
   opt_stats_.slots_before = comb_slot_count_;
   opt_stats_.ops_after = comb_ops_.size();
   opt_stats_.slots_after = comb_slot_count_;
-  if (opt_level == 0 && schedule_level == 0) {
+  if (opt_level == 0) {
     return;
   }
 
   const std::uint32_t fixed = 1 + num_pis_;  // constant slot + PI slots
+
+  // ---- constant propagation + structural hashing (CSE), one forward
+  // walk. `fwd[s]` maps the old slot of a producer to its optimized
+  // reference; ops are in topological order, so operands always resolve
+  // through ops already visited.
+  std::vector<slot_ref> fwd(comb_slot_count_, 0);
+  for (std::uint32_t s = 0; s < fixed; ++s) {
+    fwd[s] = s << 1u;
+  }
+  std::unordered_map<std::array<slot_ref, 3>, slot_ref, triple_hash> structural;
+  structural.reserve(comb_ops_.size());
   std::vector<maj_op> kept;
+  kept.reserve(comb_ops_.size());
 
-  if (opt_level >= 1) {
-    // ---- constant propagation + structural hashing (CSE), one forward
-    // walk. `fwd[s]` maps the old slot of a producer to its optimized
-    // reference; ops are in topological order, so operands always resolve
-    // through ops already visited.
-    std::vector<slot_ref> fwd(comb_slot_count_, 0);
-    for (std::uint32_t s = 0; s < fixed; ++s) {
-      fwd[s] = s << 1u;
+  for (const auto& o : comb_ops_) {
+    slot_ref a = fwd[o.a >> 1] ^ (o.a & 1u);
+    slot_ref b = fwd[o.b >> 1] ^ (o.b & 1u);
+    slot_ref c = fwd[o.c >> 1] ^ (o.c & 1u);
+    sort3(a, b, c);
+
+    if (slot_ref folded = 0; fold_majority(a, b, c, folded)) {
+      fwd[o.target] = folded;
+      ++opt_stats_.constants_folded;
+      continue;
     }
-    std::unordered_map<std::array<slot_ref, 3>, slot_ref, triple_hash> structural;
-    structural.reserve(comb_ops_.size());
-    kept.reserve(comb_ops_.size());
 
-    for (const auto& o : comb_ops_) {
-      slot_ref a = fwd[o.a >> 1] ^ (o.a & 1u);
-      slot_ref b = fwd[o.b >> 1] ^ (o.b & 1u);
-      slot_ref c = fwd[o.c >> 1] ^ (o.c & 1u);
+    // Canonical polarity under self-duality: M(!a,!b,!c) = !M(a,b,c) — at
+    // most one complemented operand, the flip carried on the output edge.
+    slot_ref out_complement = 0;
+    if ((a & 1u) + (b & 1u) + (c & 1u) >= 2) {
+      a ^= 1u;
+      b ^= 1u;
+      c ^= 1u;
+      out_complement = 1u;
       sort3(a, b, c);
-
-      if (slot_ref folded = 0; fold_majority(a, b, c, folded)) {
-        fwd[o.target] = folded;
-        ++opt_stats_.constants_folded;
-        continue;
-      }
-
-      // Canonical polarity under self-duality: M(!a,!b,!c) = !M(a,b,c) — at
-      // most one complemented operand, the flip carried on the output edge.
-      slot_ref out_complement = 0;
-      if ((a & 1u) + (b & 1u) + (c & 1u) >= 2) {
-        a ^= 1u;
-        b ^= 1u;
-        c ^= 1u;
-        out_complement = 1u;
-        sort3(a, b, c);
-      }
-
-      const std::array<slot_ref, 3> key{a, b, c};
-      if (const auto it = structural.find(key); it != structural.end()) {
-        fwd[o.target] = it->second ^ out_complement;
-        ++opt_stats_.cse_hits;
-        continue;
-      }
-      kept.push_back({o.target, a, b, c});
-      structural.emplace(key, o.target << 1u);
-      fwd[o.target] = (o.target << 1u) ^ out_complement;
-    }
-    for (auto& ref : comb_po_refs_) {
-      ref = fwd[ref >> 1] ^ (ref & 1u);
     }
 
-    // ---- dead-op elimination from the PO cone. A backward sweep over the
-    // topologically ordered survivors: an op is live iff its target feeds a
-    // PO or a live consumer — this also collects the cones orphaned by the
-    // folding and CSE above.
-    std::vector<std::uint8_t> live(comb_slot_count_, 0);
-    for (const slot_ref ref : comb_po_refs_) {
-      live[ref >> 1] = 1;
+    const std::array<slot_ref, 3> key{a, b, c};
+    if (const auto it = structural.find(key); it != structural.end()) {
+      fwd[o.target] = it->second ^ out_complement;
+      ++opt_stats_.cse_hits;
+      continue;
     }
-    for (std::size_t i = kept.size(); i-- > 0;) {
-      const auto& o = kept[i];
-      if (!live[o.target]) {
-        continue;
-      }
-      live[o.a >> 1] = 1;
-      live[o.b >> 1] = 1;
-      live[o.c >> 1] = 1;
-    }
-    const std::size_t before_dce = kept.size();
-    std::erase_if(kept, [&](const maj_op& o) { return !live[o.target]; });
-    opt_stats_.dead_ops_removed = before_dce - kept.size();
-  } else {
-    // Scheduling without the optimizer passes: reorder the raw lowering.
-    kept = comb_ops_;
+    kept.push_back({o.target, a, b, c});
+    structural.emplace(key, o.target << 1u);
+    fwd[o.target] = (o.target << 1u) ^ out_complement;
+  }
+  for (auto& ref : comb_po_refs_) {
+    ref = fwd[ref >> 1] ^ (ref & 1u);
   }
 
-  // ---- op scheduling, before slot assignment so the recycler's linear
-  // scan runs over the reordered (cone-clustered) live ranges.
-  if (schedule_level >= 1) {
-    opt_stats_.scheduled_op_moves =
-        schedule_comb_ops(kept, comb_po_refs_, comb_slot_count_, schedule_level);
+  // ---- dead-op elimination from the PO cone. A backward sweep over the
+  // topologically ordered survivors: an op is live iff its target feeds a
+  // PO or a live consumer — this also collects the cones orphaned by the
+  // folding and CSE above.
+  std::vector<std::uint8_t> live(comb_slot_count_, 0);
+  for (const slot_ref ref : comb_po_refs_) {
+    live[ref >> 1] = 1;
   }
+  for (std::size_t i = kept.size(); i-- > 0;) {
+    const auto& o = kept[i];
+    if (!live[o.target]) {
+      continue;
+    }
+    live[o.a >> 1] = 1;
+    live[o.b >> 1] = 1;
+    live[o.c >> 1] = 1;
+  }
+  const std::size_t before_dce = kept.size();
+  std::erase_if(kept, [&](const maj_op& o) { return !live[o.target]; });
+  opt_stats_.dead_ops_removed = before_dce - kept.size();
+
   opt_stats_.peak_live_slots =
       measure_peak_liveness(kept, comb_po_refs_, comb_slot_count_, fixed);
 
   // ---- slot assignment. Targets still carry their raw-lowering slot ids,
-  // so the folded/CSE'd/dead holes must be compacted either way:
+  // so the folded/CSE'd/dead holes must be compacted:
   //
-  // * opt level 0 — targets keep their raw ids (only the order changed).
   // * opt level 1 — dense renumbering, one slot per surviving op.
   // * opt level 2 — liveness-based recycling: a linear scan frees each
   //   slot at its last use and reuses it for later targets, shrinking the
@@ -387,63 +188,61 @@ void compiled_netlist::optimize() {
   //   *before* allocating its target lets a gate overwrite its own last-use
   //   operand in place (the kernels read all three words of a lane before
   //   storing that lane).
-  if (opt_level >= 1) {
-    const std::size_t n = kept.size();
-    std::vector<std::uint32_t> rename(comb_slot_count_, 0);
-    for (std::uint32_t s = 0; s < fixed; ++s) {
-      rename[s] = s;
-    }
-    std::uint32_t next = fixed;
-
-    if (opt_level >= 2) {
-      constexpr std::size_t used_by_po = ~std::size_t{0};
-      std::vector<std::size_t> last_use(comb_slot_count_, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        last_use[kept[i].a >> 1] = i;
-        last_use[kept[i].b >> 1] = i;
-        last_use[kept[i].c >> 1] = i;
-      }
-      for (const slot_ref ref : comb_po_refs_) {
-        last_use[ref >> 1] = used_by_po;
-      }
-      std::vector<std::uint32_t> free_slots;
-      std::vector<std::uint8_t> freed(comb_slot_count_, 0);
-      for (std::size_t i = 0; i < n; ++i) {
-        auto& o = kept[i];
-        const std::uint32_t operands[3] = {o.a >> 1, o.b >> 1, o.c >> 1};
-        o.a = (rename[operands[0]] << 1u) | (o.a & 1u);
-        o.b = (rename[operands[1]] << 1u) | (o.b & 1u);
-        o.c = (rename[operands[2]] << 1u) | (o.c & 1u);
-        for (const std::uint32_t s : operands) {
-          if (s >= fixed && last_use[s] == i && !freed[s]) {
-            freed[s] = 1;
-            free_slots.push_back(rename[s]);
-          }
-        }
-        std::uint32_t target = 0;
-        if (free_slots.empty()) {
-          target = next++;
-        } else {
-          target = free_slots.back();
-          free_slots.pop_back();
-        }
-        rename[o.target] = target;
-        o.target = target;
-      }
-    } else {
-      for (auto& o : kept) {
-        o.a = (rename[o.a >> 1] << 1u) | (o.a & 1u);
-        o.b = (rename[o.b >> 1] << 1u) | (o.b & 1u);
-        o.c = (rename[o.c >> 1] << 1u) | (o.c & 1u);
-        rename[o.target] = next++;
-        o.target = rename[o.target];
-      }
-    }
-    for (auto& ref : comb_po_refs_) {
-      ref = (rename[ref >> 1] << 1u) | (ref & 1u);
-    }
-    comb_slot_count_ = next;
+  const std::size_t n = kept.size();
+  std::vector<std::uint32_t> rename(comb_slot_count_, 0);
+  for (std::uint32_t s = 0; s < fixed; ++s) {
+    rename[s] = s;
   }
+  std::uint32_t next = fixed;
+
+  if (opt_level >= 2) {
+    constexpr std::size_t used_by_po = ~std::size_t{0};
+    std::vector<std::size_t> last_use(comb_slot_count_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      last_use[kept[i].a >> 1] = i;
+      last_use[kept[i].b >> 1] = i;
+      last_use[kept[i].c >> 1] = i;
+    }
+    for (const slot_ref ref : comb_po_refs_) {
+      last_use[ref >> 1] = used_by_po;
+    }
+    std::vector<std::uint32_t> free_slots;
+    std::vector<std::uint8_t> freed(comb_slot_count_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto& o = kept[i];
+      const std::uint32_t operands[3] = {o.a >> 1, o.b >> 1, o.c >> 1};
+      o.a = (rename[operands[0]] << 1u) | (o.a & 1u);
+      o.b = (rename[operands[1]] << 1u) | (o.b & 1u);
+      o.c = (rename[operands[2]] << 1u) | (o.c & 1u);
+      for (const std::uint32_t s : operands) {
+        if (s >= fixed && last_use[s] == i && !freed[s]) {
+          freed[s] = 1;
+          free_slots.push_back(rename[s]);
+        }
+      }
+      std::uint32_t target = 0;
+      if (free_slots.empty()) {
+        target = next++;
+      } else {
+        target = free_slots.back();
+        free_slots.pop_back();
+      }
+      rename[o.target] = target;
+      o.target = target;
+    }
+  } else {
+    for (auto& o : kept) {
+      o.a = (rename[o.a >> 1] << 1u) | (o.a & 1u);
+      o.b = (rename[o.b >> 1] << 1u) | (o.b & 1u);
+      o.c = (rename[o.c >> 1] << 1u) | (o.c & 1u);
+      rename[o.target] = next++;
+      o.target = rename[o.target];
+    }
+  }
+  for (auto& ref : comb_po_refs_) {
+    ref = (rename[ref >> 1] << 1u) | (ref & 1u);
+  }
+  comb_slot_count_ = next;
 
   comb_ops_ = std::move(kept);
   comb_ops_.shrink_to_fit();

@@ -42,29 +42,6 @@ void eval_ops_portable(const compiled_netlist::maj_op* ops, std::size_t num_ops,
   }
 }
 
-/// Prefetch hint over an op group's operand slot words — the software-
-/// pipelining half of `eval_planes_block`: while the kernel computes group
-/// k, the operand word-blocks of group k+1 are requested here, with a whole
-/// group of majority work to hide the miss latency behind. A pure hint (the
-/// loads are issued for side effect only), compiled out where the builtin
-/// is unavailable; gated at the call site by compile_options::op_prefetch.
-inline void prefetch_ops_operands(const compiled_netlist::maj_op* ops, std::size_t num_ops,
-                                  const std::uint64_t* slots, std::size_t w) {
-#if defined(__GNUC__) || defined(__clang__)
-  for (std::size_t i = 0; i < num_ops; ++i) {
-    const auto& o = ops[i];
-    __builtin_prefetch(slots + static_cast<std::size_t>(o.a >> 1) * w, 0);
-    __builtin_prefetch(slots + static_cast<std::size_t>(o.b >> 1) * w, 0);
-    __builtin_prefetch(slots + static_cast<std::size_t>(o.c >> 1) * w, 0);
-  }
-#else
-  (void)ops;
-  (void)num_ops;
-  (void)slots;
-  (void)w;
-#endif
-}
-
 #if defined(WAVEMIG_HAVE_AVX2)
 /// True when the running CPU supports AVX2 (checked once).
 bool avx2_supported();

@@ -649,12 +649,10 @@ packed_wave_result batch_session::run(const mig_network& net, const wave_batch& 
 
 session_stats batch_session::stats() const {
   std::lock_guard<std::mutex> lock{mutex_};
-  session_stats s{hits_, misses_, evictions_, cache_.size(), bytes_, 0, 0, 0, 0};
+  session_stats s{hits_, misses_, evictions_, cache_.size(), bytes_, 0, 0};
   for (const auto& [key, entry] : cache_) {
     s.comb_ops += entry.program->num_comb_ops();
     s.comb_slots += entry.program->comb_slot_count();
-    s.comb_peak_live += entry.program->opt_stats().peak_live_slots;
-    s.sched_op_moves += entry.program->opt_stats().scheduled_op_moves;
   }
   return s;
 }

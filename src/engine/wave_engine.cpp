@@ -44,10 +44,10 @@ void fill_clock_metrics(Result& result, const compiled_netlist& net, unsigned ph
 }
 
 /// Splices one masked 64-wave word into a plane at wave offset
-/// `base_wave` (the shared primitive of both bulk-append layouts): a low
-/// part into the partially filled chunk and, when the splice crosses a
-/// word boundary, a high part carried into the next one — two shifts,
-/// never per-bit. `total_chunks` bounds the carry store; when the carried
+/// `base_wave` (the unaligned step of `append_planes`): a low part into
+/// the partially filled chunk and, when the splice crosses a word
+/// boundary, a high part carried into the next one — two shifts, never
+/// per-bit. `total_chunks` bounds the carry store; when the carried
 /// bits would land past the final chunk they are provably zero
 /// (offset + valid wave bits <= 64), so the store is skipped.
 inline void splice_word(std::uint64_t* plane, std::uint64_t word, std::size_t base_wave,
@@ -157,17 +157,6 @@ void eval_packed_planes(const compiled_netlist& net, const wave_block_view& pis,
                         pis.num_chunks, scratch);
 }
 
-void eval_packed_chunk(const compiled_netlist& net, const std::uint64_t* chunk_words,
-                       std::uint64_t* out_words, std::vector<std::uint64_t>& scratch) {
-  net.eval_words_into(chunk_words, out_words, scratch);
-}
-
-void eval_packed_block(const compiled_netlist& net, const std::uint64_t* chunk_words,
-                       std::uint64_t* out_words, std::size_t num_chunks,
-                       std::vector<std::uint64_t>& scratch) {
-  net.eval_words_block(chunk_words, out_words, num_chunks, scratch);
-}
-
 // --------------------------------------------------------- wave_batch ---
 
 void wave_batch::ensure_chunk_capacity(std::size_t chunks) {
@@ -213,40 +202,6 @@ void wave_batch::append(const std::vector<bool>& wave) {
     *words |= static_cast<std::uint64_t>(wave[i]) << bit;
   }
   ++num_waves_;
-}
-
-void wave_batch::append_words(const std::uint64_t* words, std::size_t num_waves) {
-  if (num_waves == 0) {
-    return;
-  }
-  const std::size_t in_chunks = (num_waves + 63) / 64;
-  const std::size_t total = num_waves_ + num_waves;
-  const std::size_t total_chunks = (total + 63) / 64;
-  ensure_chunk_capacity(total_chunks);
-
-  // Each incoming chunk-major word is masked to its valid waves and spliced
-  // into its plane. The aligned case (offset 0) degenerates to `lo |= w`
-  // into zeroed words. I/O-tiled iteration — chunk tiles outer, planes mid,
-  // chunks inner — keeps each destination plane line resident for a whole
-  // tile of splices: the old chunk-outer walk cycled through all num_pis
-  // plane lines per chunk, which on very-wide-PI batches re-fetched every
-  // line once per chunk.
-  const std::size_t tail = num_waves % 64;
-  const std::uint64_t tail_mask = tail == 0 ? ~std::uint64_t{0}
-                                            : (std::uint64_t{1} << tail) - 1;
-  constexpr std::size_t tile = compiled_netlist::max_block_chunks;
-  for (std::size_t c0 = 0; c0 < in_chunks; c0 += tile) {
-    const std::size_t c1 = std::min(in_chunks, c0 + tile);
-    for (std::size_t i = 0; i < num_pis_; ++i) {
-      std::uint64_t* plane = words_.data() + i * chunk_capacity_;
-      for (std::size_t c = c0; c < c1; ++c) {
-        const std::uint64_t in = words[c * num_pis_ + i];
-        splice_word(plane, c + 1 == in_chunks ? in & tail_mask : in, num_waves_ + c * 64,
-                    total_chunks);
-      }
-    }
-  }
-  num_waves_ = total;
 }
 
 void wave_batch::append_planes(const std::uint64_t* planes, std::size_t plane_stride,
@@ -323,14 +278,6 @@ wave_batch wave_batch::from_plane_words(std::vector<std::uint64_t> words, std::s
   return batch;
 }
 
-std::vector<std::uint64_t> wave_batch::chunk_major_words() const {
-  const std::size_t chunks = num_chunks();
-  std::vector<std::uint64_t> out(chunks * num_pis_);
-  detail::transpose_planes_to_chunk_major(words_.data(), chunk_capacity_, num_pis_, chunks,
-                                          out.data());
-  return out;
-}
-
 wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
                                   std::size_t num_pis) {
   for (const auto& wave : waves) {
@@ -361,13 +308,6 @@ wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
 }
 
 // -------------------------------------------------- packed_wave_result ---
-
-std::vector<std::uint64_t> packed_wave_result::chunk_major_words() const {
-  const std::size_t chunks = num_chunks();
-  std::vector<std::uint64_t> out(chunks * num_pos);
-  detail::transpose_planes_to_chunk_major(words.data(), chunks, num_pos, chunks, out.data());
-  return out;
-}
 
 std::vector<std::vector<bool>> packed_wave_result::unpack() const {
   // The inverse of from_waves: per 64-wave chunk and 64-PO block, 64 plane

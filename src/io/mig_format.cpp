@@ -228,6 +228,7 @@ private:
     if (line.starts_with(".inputs")) {
       std::string_view rest = line.substr(7);
       for (auto name = next_token(rest); !name.empty(); name = next_token(rest)) {
+        check_definable(name);
         if (symbols_.find(name) != nullptr) {
           throw parse_error{line_no_, "duplicate input '" + std::string{name} + "'"};
         }
@@ -255,6 +256,7 @@ private:
     if (!split_assignment(line, a)) {
       throw parse_error{line_no_, "unrecognized line '" + std::string{line} + "'"};
     }
+    check_definable(a.name);
     if (symbols_.find(a.name) != nullptr) {
       throw parse_error{line_no_, "redefinition of '" + std::string{a.name} + "'"};
     }
@@ -277,6 +279,17 @@ private:
       throw parse_error{line_no_, "unknown component kind '" + std::string{a.kind} + "'"};
     }
     symbols_.insert(a.name, s);
+  }
+
+  /// An operand `0`, `1` or `!<name>` never reads a symbol of that
+  /// spelling, so a signal defined under one would silently be replaced by
+  /// a constant or a complement wherever it is used.
+  void check_definable(std::string_view name) const {
+    if (name == "0" || name == "1" || name.starts_with('!')) {
+      throw parse_error{line_no_, "'" + std::string{name} +
+                                      "' cannot name a signal: operands read it as a "
+                                      "constant or a complement"};
+    }
   }
 
   [[nodiscard]] signal parse_operand(std::string_view token) const {

@@ -21,6 +21,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "wavemig/buffer_insertion.hpp"
@@ -97,37 +98,32 @@ void expect_paths_agree(const diff_case& c, engine::parallel_executor& executor,
 
   // Optimizer levels: every level's program must produce the same packed
   // words through both the blocked multi-word kernel and the single-word
-  // (W = 1) kernel driven chunk by chunk.
+  // (W = 1) evaluator driven chunk by chunk.
+  const std::size_t chunks = batch.num_chunks();
+  // Front-end results mask the bits above num_waves in the last chunk;
+  // the raw W=1 evaluation does not — mask here to compare.
+  const std::size_t tail = batch.num_waves() % 64;
+  const std::uint64_t tail_mask = tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
   for (const unsigned level : {1u, 2u}) {
     const engine::compiled_netlist opt{balanced.net, balanced.schedule,
                                        {.opt_level = level}};
     const auto opt_packed = engine::run_waves_packed(opt, batch, c.phases);
     EXPECT_EQ(opt_packed.words, packed.words) << what << ": opt level " << level;
 
-    // The W=1 chunk-major kernel is the layout-independent reference:
-    // transpose its chunk-major outputs to plane-major and compare.
-    const auto chunk_major = batch.chunk_major_words();
-    std::vector<std::uint64_t> single(batch.num_chunks() * opt.num_pos());
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t chunk = 0; chunk < batch.num_chunks(); ++chunk) {
-      engine::eval_packed_chunk(opt, chunk_major.data() + chunk * opt.num_pis(),
-                                single.data() + chunk * opt.num_pos(), scratch);
-    }
-    // Front-end results mask the bits above num_waves in the last chunk;
-    // the raw W=1 kernel does not — mask here to compare.
-    const std::size_t tail = batch.num_waves() % 64;
-    const std::uint64_t tail_mask =
-        tail == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << tail) - 1;
-    std::vector<std::uint64_t> single_planes(single.size());
-    for (std::size_t chunk = 0; chunk < batch.num_chunks(); ++chunk) {
-      const std::uint64_t mask =
-          chunk + 1 == batch.num_chunks() ? tail_mask : ~std::uint64_t{0};
+    // The W=1 evaluator is the layout-independent reference: chunk c of PI
+    // i is read straight from the batch's plane, and PO p's word lands in
+    // its plane, so no transpose sits between the two paths.
+    std::vector<std::uint64_t> single(chunks * opt.num_pos());
+    std::vector<std::uint64_t> slots;
+    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+      opt.eval([&](std::uint32_t i) { return batch.plane(i)[chunk]; }, std::uint64_t{0},
+               slots);
+      const std::uint64_t mask = chunk + 1 == chunks ? tail_mask : ~std::uint64_t{0};
       for (std::size_t p = 0; p < opt.num_pos(); ++p) {
-        single_planes[p * batch.num_chunks() + chunk] =
-            single[chunk * opt.num_pos() + p] & mask;
+        single[p * chunks + chunk] = opt.po_value(slots, p) & mask;
       }
     }
-    EXPECT_EQ(single_planes, packed.words) << what << ": W=1 kernel, opt level " << level;
+    EXPECT_EQ(single, packed.words) << what << ": W=1 evaluator, opt level " << level;
   }
 }
 
@@ -206,62 +202,69 @@ TEST(differential, buffer_strategies_never_change_the_function) {
 
 // ---------------------------------------------------- layout fuzzing ---
 
-/// Chunk-major <-> plane-major transpose is an involution: random packed
-/// words pushed through `append_words` (chunk-major in) must read back
-/// identically through `chunk_major_words()` (chunk-major out), and the
-/// plane-major image must re-ingest through every plane path
-/// (`append_planes`, `from_plane_words`) to the same batch. Stray bits
-/// above num_waves are injected and must never survive.
-TEST(differential, layout_round_trip_is_an_involution) {
+/// Plane-major ingestion fuzz: random plane words — stray bits above
+/// num_waves in every plane's last chunk, a random spare stride — must
+/// read back bit for bit through `append_planes` behind a random per-wave
+/// prefix (every splice offset class) and through `from_plane_words`, with
+/// every stray bit dropped. The last rounds use very wide interfaces
+/// (hundreds to thousands of planes, few waves).
+TEST(differential, plane_ingestion_keeps_every_bit_and_drops_stray_ones) {
   std::mt19937_64 rng{0xBEEF};
   for (int round = 0; round < 48; ++round) {
-    // The last rounds use very wide interfaces (hundreds to thousands of
-    // planes, few waves) — the tiled-transpose regime of wide-PI circuits,
-    // where the signal tile loop dominates the chunk loop.
-    const std::size_t num_pis =
-        round < 40 ? 1 + rng() % 12 : 64 + rng() % 1990;
+    const std::size_t num_pis = round < 40 ? 1 + rng() % 12 : 64 + rng() % 1990;
     const std::size_t num_waves = round < 40 ? 1 + rng() % 600 : 1 + rng() % 200;
     const std::size_t chunks = (num_waves + 63) / 64;
+    const std::size_t stride = chunks + rng() % 3;
 
-    std::vector<std::uint64_t> chunk_major(chunks * num_pis);
-    for (auto& w : chunk_major) {
-      w = rng();  // includes stray bits above num_waves in the last chunk
+    std::vector<std::uint64_t> planes(stride * num_pis);
+    for (auto& w : planes) {
+      w = rng();
     }
+    const auto source_bit = [&](std::size_t i, std::size_t w) {
+      return ((planes[i * stride + w / 64] >> (w % 64)) & 1u) != 0;
+    };
+    const std::string what = "round " + std::to_string(round);
 
-    engine::wave_batch batch{num_pis};
-    batch.append_words(chunk_major.data(), num_waves);
-    ASSERT_EQ(batch.num_waves(), num_waves);
-
-    // Round trip back to chunk-major: every valid bit preserved, every
-    // stray bit masked.
-    const auto round_tripped = batch.chunk_major_words();
-    const std::size_t tail = num_waves % 64;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::uint64_t mask = (c + 1 == chunks && tail != 0)
-                                     ? (std::uint64_t{1} << tail) - 1
-                                     : ~std::uint64_t{0};
-      for (std::size_t i = 0; i < num_pis; ++i) {
-        ASSERT_EQ(round_tripped[c * num_pis + i], chunk_major[c * num_pis + i] & mask)
-            << "round " << round << " chunk " << c << " pi " << i;
-      }
-    }
-
-    // Plane-major image -> plane ingestion paths -> same planes.
-    std::vector<std::uint64_t> planes(chunks * num_pis);
+    std::vector<std::uint64_t> packed(chunks * num_pis);
     for (std::size_t i = 0; i < num_pis; ++i) {
-      std::copy_n(batch.plane(i), chunks,
-                  planes.begin() + static_cast<std::ptrdiff_t>(i * chunks));
+      std::copy_n(planes.begin() + static_cast<std::ptrdiff_t>(i * stride), chunks,
+                  packed.begin() + static_cast<std::ptrdiff_t>(i * chunks));
     }
-    const auto adopted = engine::wave_batch::from_plane_words(planes, num_pis, num_waves);
+    const auto adopted = engine::wave_batch::from_plane_words(packed, num_pis, num_waves);
+
+    const std::size_t prefix = rng() % 130;
+    const auto head = random_waves(prefix, num_pis, rng());
     engine::wave_batch appended{num_pis};
-    appended.append_planes(planes.data(), chunks, num_waves);
+    for (const auto& wave : head) {
+      appended.append(wave);
+    }
+    appended.append_planes(planes.data(), stride, num_waves);
+
+    ASSERT_EQ(adopted.num_waves(), num_waves) << what;
+    ASSERT_EQ(appended.num_waves(), prefix + num_waves) << what;
     for (std::size_t i = 0; i < num_pis; ++i) {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        ASSERT_EQ(adopted.plane(i)[c], batch.plane(i)[c]) << "adopt, round " << round;
-        ASSERT_EQ(appended.plane(i)[c], batch.plane(i)[c]) << "append, round " << round;
+      for (std::size_t w = 0; w < num_waves; ++w) {
+        if (adopted.input(w, i) != source_bit(i, w)) {
+          FAIL() << what << ": adopted pi " << i << " wave " << w;
+        }
+        if (appended.input(prefix + w, i) != source_bit(i, w)) {
+          FAIL() << what << ": appended pi " << i << " wave " << w << " prefix " << prefix;
+        }
+      }
+      for (std::size_t w = 0; w < prefix; ++w) {
+        if (appended.input(w, i) != head[w][i]) {
+          FAIL() << what << ": prefix pi " << i << " wave " << w;
+        }
+      }
+      // Every bit above the last wave of the last chunk reads zero.
+      for (const engine::wave_batch* batch : {&adopted, &std::as_const(appended)}) {
+        const std::size_t live = batch->num_waves() % 64;
+        if (live != 0) {
+          ASSERT_EQ(batch->plane(i)[batch->num_chunks() - 1] >> live, 0u)
+              << what << ": stray bits kept in pi " << i;
+        }
       }
     }
-    EXPECT_EQ(adopted.chunk_major_words(), round_tripped) << "round " << round;
   }
 }
 
@@ -402,16 +405,13 @@ TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
   }
 }
 
-// ---------------------------------------------- scheduler differential ---
+// ------------------------------------------------ opt-level differential ---
 
-/// PR-10 referee: op-scheduled programs (schedule level 1 and 2, with and
-/// without the slot optimizer) pinned bit-identical to the unscheduled
+/// Programs compiled at opt level 0 and 2 pinned bit-identical to the opt-2
 /// reference through the packed kernel, the sharded parallel executor, and
 /// the serving session with a per-request compile override, across the
-/// chunk-boundary wave counts — then through every built-in technology
-/// scenario, where the scenario pipeline's prepared program is scheduled
-/// too.
-TEST(differential, scheduled_programs_agree_across_all_engine_paths) {
+/// chunk-boundary wave counts.
+TEST(differential, opt_levels_agree_across_all_engine_paths) {
   engine::parallel_executor executor{4};
   engine::serving_session serving{executor};
 
@@ -426,49 +426,22 @@ TEST(differential, scheduled_programs_agree_across_all_engine_paths) {
     const auto packed_ref = engine::run_waves_packed(reference, batch, 3);
 
     for (const unsigned opt : {0u, 2u}) {
-      for (const unsigned sched : {1u, 2u}) {
-        const std::string what = std::to_string(num_waves) + " waves, opt " +
-                                 std::to_string(opt) + ", sched " + std::to_string(sched);
-        const engine::compiled_netlist scheduled{
-            balanced.net, balanced.schedule, {.opt_level = opt, .schedule_level = sched}};
-        const auto packed = engine::run_waves_packed(scheduled, batch, 3);
-        EXPECT_EQ(packed.words, packed_ref.words) << what << ": packed";
-        EXPECT_EQ(packed.ticks, packed_ref.ticks) << what;
+      const std::string what = std::to_string(num_waves) + " waves, opt " + std::to_string(opt);
+      const engine::compiled_netlist program{balanced.net, balanced.schedule,
+                                             {.opt_level = opt}};
+      const auto packed = engine::run_waves_packed(program, batch, 3);
+      EXPECT_EQ(packed.words, packed_ref.words) << what << ": packed";
+      EXPECT_EQ(packed.ticks, packed_ref.ticks) << what;
 
-        const auto parallel = engine::run_waves_parallel(scheduled, batch, 3, executor);
-        EXPECT_EQ(parallel.words, packed_ref.words) << what << ": parallel";
+      const auto parallel = engine::run_waves_parallel(program, batch, 3, executor);
+      EXPECT_EQ(parallel.words, packed_ref.words) << what << ": parallel";
 
-        engine::submit_options sopts;
-        sopts.compile = engine::compile_options{.opt_level = opt, .schedule_level = sched};
-        const auto async = serving.submit(shared, batch, 3, sopts).get();
-        EXPECT_EQ(async.words, packed_ref.words) << what << ": serving";
-        EXPECT_EQ(async.ticks, packed_ref.ticks) << what;
-      }
+      engine::submit_options sopts;
+      sopts.compile = engine::compile_options{.opt_level = opt};
+      const auto async = serving.submit(shared, batch, 3, sopts).get();
+      EXPECT_EQ(async.words, packed_ref.words) << what << ": serving";
+      EXPECT_EQ(async.ticks, packed_ref.ticks) << what;
     }
-  }
-
-  // Every built-in scenario with scheduling on, against the unscheduled
-  // scenario-tagged cache path.
-  engine::batch_session plain_session{executor, {}, {}, {.opt_level = 2}};
-  engine::batch_session sched_session{executor, {}, {},
-                                      {.opt_level = 2, .schedule_level = 1}};
-  engine::serving_session sched_serving{executor, {}, {}, 0,
-                                        {.opt_level = 2, .schedule_level = 2}};
-  for (const auto& name : tech_scenario::names()) {
-    const auto scenario = tech_scenario::by_name(name);
-    const auto net = gen::random_mig({11, 140, 0.5, 8, 3300});
-    const auto shared = std::make_shared<const mig_network>(net);
-    const auto waves = random_waves(65, net.num_pis(), 4400);
-    const auto batch = engine::wave_batch::from_waves(waves, net.num_pis());
-
-    const auto plain = plain_session.run(net, batch, 3, scenario);
-    const auto sched = sched_session.run(net, batch, 3, scenario);
-    const auto async = sched_serving.submit(shared, batch, 3, scenario).get();
-    EXPECT_EQ(sched.words, plain.words) << name << ": scheduled scenario run";
-    EXPECT_EQ(sched.ticks, plain.ticks) << name;
-    EXPECT_EQ(sched.waves_in_flight, plain.waves_in_flight) << name;
-    EXPECT_EQ(async.words, plain.words) << name << ": scheduled scenario serving";
-    EXPECT_EQ(async.ticks, plain.ticks) << name;
   }
 }
 

@@ -289,60 +289,6 @@ TEST(wave_stream, finish_resets_for_full_reuse) {
   EXPECT_EQ(second.ticks, reference.ticks);
 }
 
-TEST(wave_batch, append_words_matches_per_wave_append) {
-  const std::size_t num_pis = 7;
-  const auto waves = random_waves(300, num_pis, 911);
-  const auto packed = engine::wave_batch::from_waves(waves, num_pis);
-
-  // Aligned bulk append: empty batch, multiple chunks, partial tail.
-  const auto chunk_major = packed.chunk_major_words();
-  engine::wave_batch aligned{num_pis};
-  aligned.append_words(chunk_major.data(), waves.size());
-  ASSERT_EQ(aligned.num_waves(), waves.size());
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      ASSERT_EQ(aligned.input(w, i), waves[w][i]) << "wave " << w << " pi " << i;
-    }
-  }
-
-  // Unaligned bulk append: a few per-bool waves first, then the bulk words
-  // spliced at every offset class (1, 63, 64-crossing).
-  for (const std::size_t prefix : {1ull, 37ull, 63ull, 64ull, 65ull}) {
-    engine::wave_batch spliced{num_pis};
-    for (std::size_t w = 0; w < prefix; ++w) {
-      spliced.append(waves[w]);
-    }
-    spliced.append_words(chunk_major.data(), waves.size());
-    ASSERT_EQ(spliced.num_waves(), prefix + waves.size());
-    for (std::size_t w = 0; w < prefix + waves.size(); ++w) {
-      const auto& expect = w < prefix ? waves[w] : waves[w - prefix];
-      for (std::size_t i = 0; i < num_pis; ++i) {
-        ASSERT_EQ(spliced.input(w, i), expect[i]) << "prefix " << prefix << " wave " << w;
-      }
-    }
-    // Appending after an unaligned bulk append still lines up.
-    spliced.append(waves[0]);
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      ASSERT_EQ(spliced.input(prefix + waves.size(), i), waves[0][i]);
-    }
-  }
-}
-
-TEST(wave_batch, append_words_ignores_stray_bits_above_num_waves) {
-  // The caller's last chunk may carry garbage above num_waves; those bits
-  // must not leak into waves appended later.
-  const std::size_t num_pis = 3;
-  std::vector<std::uint64_t> words(num_pis, ~std::uint64_t{0});  // all-ones chunk
-  engine::wave_batch batch{num_pis};
-  batch.append_words(words.data(), 5);  // only waves 0..4 are real
-  batch.append({false, false, false});
-  EXPECT_EQ(batch.num_waves(), 6u);
-  for (std::size_t i = 0; i < num_pis; ++i) {
-    EXPECT_TRUE(batch.input(4, i));
-    EXPECT_FALSE(batch.input(5, i)) << "stray bit leaked into pi " << i;
-  }
-}
-
 TEST(wave_batch, clear_keeps_storage_reusable) {
   engine::wave_batch batch{4};
   const auto waves = random_waves(100, 4, 5);
@@ -359,43 +305,76 @@ TEST(wave_batch, clear_keeps_storage_reusable) {
   }
 }
 
+/// The single-word (W = 1) reference of a plane-major batch: the generic
+/// `compiled_netlist::eval` run once per chunk, chunk c of PI i read
+/// straight from `batch.plane(i)[c]`. Returns plane-major PO words (stride
+/// == chunk count), unmasked — the raw kernel computes tail lanes too.
+std::vector<std::uint64_t> single_word_reference(const engine::compiled_netlist& net,
+                                                 const engine::wave_batch& batch) {
+  const std::size_t chunks = batch.num_chunks();
+  std::vector<std::uint64_t> out(chunks * net.num_pos());
+  std::vector<std::uint64_t> slots;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    net.eval([&](std::uint32_t i) { return batch.plane(i)[c]; }, std::uint64_t{0}, slots);
+    for (std::size_t p = 0; p < net.num_pos(); ++p) {
+      out[p * chunks + c] = net.po_value(slots, p);
+    }
+  }
+  return out;
+}
+
+/// Plane-major kernel output over the whole batch (stride == chunk count).
+std::vector<std::uint64_t> plane_kernel(const engine::compiled_netlist& net,
+                                        const engine::wave_batch& batch,
+                                        std::vector<std::uint64_t>& scratch) {
+  const std::size_t chunks = batch.num_chunks();
+  std::vector<std::uint64_t> out(chunks * net.num_pos());
+  engine::eval_packed_planes(net, batch.view(), {out.data(), chunks, net.num_pos(), chunks},
+                             scratch);
+  return out;
+}
+
 TEST(packed_kernel, block_evaluation_is_bit_identical_to_per_chunk) {
   // Every block width the kernel dispatches (1..8 chunks, plus a >8 run
-  // that splits internally) must reproduce the single-word kernel exactly.
+  // that splits internally) must reproduce the single-word evaluation
+  // exactly.
   const auto balanced = insert_buffers(gen::random_mig({12, 150, 0.5, 10, 2024})).net;
   const engine::compiled_netlist compiled{balanced};
 
+  std::vector<std::uint64_t> scratch;
   for (const std::size_t num_waves :
        {1ull, 64ull, 129ull, 256ull, 320ull, 448ull, 512ull, 513ull, 1200ull}) {
     const auto waves = random_waves(num_waves, balanced.num_pis(), num_waves * 13 + 1);
     const auto batch = engine::wave_batch::from_waves(waves, balanced.num_pis());
+    EXPECT_EQ(plane_kernel(compiled, batch, scratch), single_word_reference(compiled, batch))
+        << num_waves << " waves";
+  }
+}
 
-    const auto chunk_major = batch.chunk_major_words();
-    std::vector<std::uint64_t> reference(batch.num_chunks() * compiled.num_pos());
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t c = 0; c < batch.num_chunks(); ++c) {
-      engine::eval_packed_chunk(compiled, chunk_major.data() + c * compiled.num_pis(),
-                                reference.data() + c * compiled.num_pos(), scratch);
-    }
+TEST(packed_kernel, mig4k_planes_match_the_single_word_reference_at_every_opt_level) {
+  // The large reference shape: a balanced 4,000-gate random MIG over 8,192
+  // waves (128 chunks, 16 full kernel blocks). Every opt level's
+  // plane-major kernel must reproduce the single-word evaluation of the raw
+  // lowering, so the optimizer and the wide kernels are pinned at a scale
+  // the random-MIG harness does not reach.
+  const auto balanced = insert_buffers(gen::random_mig({64, 4000, 0.5, 32, 777}));
+  std::mt19937_64 rng{4242};
+  constexpr std::size_t num_waves = 8192;
+  std::vector<std::uint64_t> words(balanced.net.num_pis() * num_waves / 64);
+  for (auto& w : words) {
+    w = rng();
+  }
+  const auto batch =
+      engine::wave_batch::from_plane_words(std::move(words), balanced.net.num_pis(), num_waves);
 
-    std::vector<std::uint64_t> blocked(batch.num_chunks() * compiled.num_pos());
-    engine::eval_packed_block(compiled, chunk_major.data(), blocked.data(),
-                              batch.num_chunks(), scratch);
-    EXPECT_EQ(blocked, reference) << num_waves << " waves";
-
-    // The native plane-major entry must agree with both chunk-major paths
-    // modulo layout.
-    std::vector<std::uint64_t> planes(batch.num_chunks() * compiled.num_pos());
-    engine::eval_packed_planes(
-        compiled, batch.view(),
-        {planes.data(), batch.num_chunks(), compiled.num_pos(), batch.num_chunks()},
-        scratch);
-    for (std::size_t c = 0; c < batch.num_chunks(); ++c) {
-      for (std::size_t p = 0; p < compiled.num_pos(); ++p) {
-        ASSERT_EQ(planes[p * batch.num_chunks() + c], reference[c * compiled.num_pos() + p])
-            << num_waves << " waves, chunk " << c << " po " << p;
-      }
-    }
+  const engine::compiled_netlist raw{balanced.net, balanced.schedule};
+  const auto reference = single_word_reference(raw, batch);
+  std::vector<std::uint64_t> scratch;
+  for (const unsigned level : {0u, 1u, 2u}) {
+    const engine::compiled_netlist program{balanced.net, balanced.schedule,
+                                           {.opt_level = level}};
+    ASSERT_GT(program.num_comb_ops(), 0u);
+    EXPECT_EQ(plane_kernel(program, batch, scratch), reference) << "opt level " << level;
   }
 }
 
@@ -534,10 +513,10 @@ TEST(wave_batch, plane_view_exposes_the_transposed_words) {
   }
 }
 
-/// Satellite audit of the tail-chunk masking contract: at every
-/// non-multiple-of-64 wave count, per-bool append, chunk-major bulk append,
-/// plane-major bulk append and result unpack must mask identically — no
-/// stray bits above num_waves anywhere in the new layout.
+/// Audit of the tail-chunk masking contract: at every non-multiple-of-64
+/// wave count, per-bool append, plane-major bulk append, plane-word
+/// adoption and result unpack must mask identically — no stray bits above
+/// num_waves anywhere in the layout.
 TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
   const std::size_t num_pis = 6;
   for (const std::size_t num_waves : {1ull, 63ull, 64ull, 65ull, 511ull}) {
@@ -545,8 +524,7 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
     const auto reference = engine::wave_batch::from_waves(waves, num_pis);
     ASSERT_EQ(reference.num_chunks(), (num_waves + 63) / 64);
 
-    // Poison the unused tail bits of both bulk inputs: they must be ignored.
-    auto chunk_major = reference.chunk_major_words();
+    // Poison the unused tail bits of the bulk input: they must be ignored.
     auto plane_major =
         std::vector<std::uint64_t>(reference.num_chunks() * num_pis, 0);
     for (std::size_t i = 0; i < num_pis; ++i) {
@@ -556,20 +534,16 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
     if (num_waves % 64 != 0) {
       const std::uint64_t poison = ~((std::uint64_t{1} << (num_waves % 64)) - 1);
       for (std::size_t i = 0; i < num_pis; ++i) {
-        chunk_major[(reference.num_chunks() - 1) * num_pis + i] |= poison;
         plane_major[i * reference.num_chunks() + reference.num_chunks() - 1] |= poison;
       }
     }
 
-    engine::wave_batch from_chunks{num_pis};
-    from_chunks.append_words(chunk_major.data(), num_waves);
     engine::wave_batch from_planes{num_pis};
     from_planes.append_planes(plane_major.data(), reference.num_chunks(), num_waves);
     const auto adopted =
         engine::wave_batch::from_plane_words(plane_major, num_pis, num_waves);
 
-    for (const engine::wave_batch* batch :
-         {&std::as_const(from_chunks), &std::as_const(from_planes), &adopted}) {
+    for (const engine::wave_batch* batch : {&std::as_const(from_planes), &adopted}) {
       ASSERT_EQ(batch->num_waves(), num_waves);
       for (std::size_t i = 0; i < num_pis; ++i) {
         for (std::size_t c = 0; c < batch->num_chunks(); ++c) {
@@ -599,27 +573,57 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
   }
 }
 
-TEST(wave_batch, append_planes_matches_append_words) {
+TEST(wave_batch, append_planes_matches_per_wave_append) {
   const std::size_t num_pis = 9;
   const auto waves = random_waves(150, num_pis, 71);
   const auto packed = engine::wave_batch::from_waves(waves, num_pis);
-  const auto chunk_major = packed.chunk_major_words();
 
-  for (const std::size_t prefix : {0ull, 1ull, 63ull, 64ull, 100ull}) {
-    engine::wave_batch via_chunks{num_pis};
+  // A per-bool prefix puts the bulk words at every offset class: aligned
+  // (one copy per plane), unaligned (two-shift splices), and 64-crossing.
+  for (const std::size_t prefix : {0ull, 1ull, 37ull, 63ull, 64ull, 65ull, 100ull}) {
+    engine::wave_batch via_waves{num_pis};
     engine::wave_batch via_planes{num_pis};
     for (std::size_t w = 0; w < prefix; ++w) {
-      via_chunks.append(waves[w]);
+      via_waves.append(waves[w]);
       via_planes.append(waves[w]);
     }
-    via_chunks.append_words(chunk_major.data(), waves.size());
+    for (const auto& wave : waves) {
+      via_waves.append(wave);
+    }
     via_planes.append_planes(packed.view().planes, packed.view().plane_stride, waves.size());
-    ASSERT_EQ(via_planes.num_waves(), via_chunks.num_waves()) << "prefix " << prefix;
+    ASSERT_EQ(via_planes.num_waves(), via_waves.num_waves()) << "prefix " << prefix;
     for (std::size_t i = 0; i < num_pis; ++i) {
-      for (std::size_t c = 0; c < via_chunks.num_chunks(); ++c) {
-        ASSERT_EQ(via_planes.plane(i)[c], via_chunks.plane(i)[c])
+      for (std::size_t c = 0; c < via_waves.num_chunks(); ++c) {
+        ASSERT_EQ(via_planes.plane(i)[c], via_waves.plane(i)[c])
             << "prefix " << prefix << " pi " << i << " chunk " << c;
       }
+    }
+    // Appending after a bulk append still lines up.
+    via_planes.append(waves[0]);
+    for (std::size_t i = 0; i < num_pis; ++i) {
+      ASSERT_EQ(via_planes.input(prefix + waves.size(), i), waves[0][i]) << "prefix " << prefix;
+    }
+  }
+}
+
+TEST(wave_batch, append_planes_ignores_stray_bits_above_num_waves) {
+  // The caller's last chunk may carry garbage above num_waves; those bits
+  // must not leak into waves appended later, on the aligned copy path
+  // (prefix 0) or the unaligned splice path (prefix 3).
+  const std::size_t num_pis = 3;
+  const std::vector<std::uint64_t> planes(num_pis, ~std::uint64_t{0});  // all-ones chunks
+  for (const std::size_t prefix : {0ull, 3ull}) {
+    engine::wave_batch batch{num_pis};
+    for (std::size_t w = 0; w < prefix; ++w) {
+      batch.append({false, false, false});
+    }
+    batch.append_planes(planes.data(), 1, 5);  // only waves 0..4 are real
+    batch.append({false, false, false});
+    EXPECT_EQ(batch.num_waves(), prefix + 6);
+    for (std::size_t i = 0; i < num_pis; ++i) {
+      EXPECT_TRUE(batch.input(prefix + 4, i));
+      EXPECT_FALSE(batch.input(prefix + 5, i)) << "stray bit leaked into pi " << i;
+      EXPECT_EQ(batch.plane(i)[0] >> (prefix + 6), 0u) << "stray bits past the last wave";
     }
   }
 }
@@ -679,22 +683,6 @@ TEST(packed_waves, result_tail_bits_above_num_waves_are_zero) {
     for (std::size_t p = 0; p < streamed.num_pos; ++p) {
       EXPECT_EQ(streamed.plane(p)[streamed.num_chunks() - 1] & above, 0u)
           << num_waves << " waves (stream), po " << p;
-    }
-  }
-}
-
-TEST(packed_waves, chunk_major_adapter_round_trips_the_result) {
-  const auto balanced = insert_buffers(gen::multiplier_circuit(4)).net;
-  const engine::compiled_netlist compiled{balanced};
-  const auto waves = random_waves(130, balanced.num_pis(), 808);
-  const auto run = engine::run_waves_packed(
-      compiled, engine::wave_batch::from_waves(waves, balanced.num_pis()), 3);
-
-  const auto chunk_major = run.chunk_major_words();
-  ASSERT_EQ(chunk_major.size(), run.words.size());
-  for (std::size_t c = 0; c < run.num_chunks(); ++c) {
-    for (std::size_t p = 0; p < run.num_pos; ++p) {
-      ASSERT_EQ(chunk_major[c * run.num_pos + p], run.plane(p)[c]);
     }
   }
 }

@@ -117,6 +117,42 @@ TEST(mig_format, error_use_before_definition) {
 TEST(mig_format, error_redefinition) {
   std::stringstream ss{".inputs a b c\nn1 = MAJ(a, b, c)\nn1 = BUF(a)\n.output f = n1\n"};
   EXPECT_THROW(io::read_mig(ss), io::parse_error);
+
+  // An operand `0`, `1` or `!x` never reads a signal of that spelling, so
+  // defining one would silently redefine a constant or a complement: the
+  // definition itself is the error, on its own line.
+  const auto expect_rejected_at = [](const std::string& text, std::size_t line) {
+    std::stringstream in{text};
+    try {
+      (void)io::read_mig(in);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const io::parse_error& e) {
+      EXPECT_EQ(e.line(), line) << e.what() << "\n" << text;
+    }
+  };
+  expect_rejected_at(".inputs 1 b c\nn4 = MAJ(1, b, c)\n.output f = n4\n", 1);
+  expect_rejected_at(".inputs a 0 c\nn4 = MAJ(a, 0, c)\n.output f = n4\n", 1);
+  expect_rejected_at(".inputs !x b c\nn1 = MAJ(!x, b, c)\n.output f = n1\n", 1);
+  expect_rejected_at(".inputs a b c\n1 = MAJ(a, b, c)\n.output f = 1\n", 2);
+  expect_rejected_at(".inputs a b c\n0 = BUF(a)\n.output f = 0\n", 2);
+  expect_rejected_at(".inputs a b c\n!n = FOG(a)\n.output f = !n\n", 2);
+}
+
+TEST(mig_format, pi_named_like_a_literal_is_rejected_not_read_as_a_constant) {
+  // write_mig emits a PI's name verbatim, so MAJ(PI "1", b, c) becomes
+  // ".inputs 1 b c" and "MAJ(1, b, c)": read back, the operand would be
+  // the constant and the gate OR(b, c). The reader must refuse instead.
+  for (const std::string literal : {"0", "1"}) {
+    mig_network net;
+    const signal x = net.create_pi(literal);
+    const signal b = net.create_pi("b");
+    const signal c = net.create_pi("c");
+    net.create_po(net.create_maj(x, b, c), "f");
+    std::stringstream ss;
+    io::write_mig(net, ss);
+    ASSERT_NE(ss.str().find(".inputs " + literal + " b c\n"), std::string::npos) << ss.str();
+    EXPECT_THROW((void)io::read_mig(ss), io::parse_error) << "PI named " << literal;
+  }
 }
 
 TEST(mig_format, error_wrong_arity) {

@@ -248,7 +248,7 @@ TEST(optimizer, opt_levels_are_bit_identical_across_all_execution_paths) {
   }
 }
 
-// ------------------------------------------------------- op scheduling ---
+// ------------------------------------------------------- program order ---
 
 /// Asserts the program is topologically valid: every gate operand is either
 /// fixed (constant / PI) or written by an earlier op. (Slot recycling at
@@ -269,7 +269,7 @@ void expect_topologically_valid(const compiled_netlist& program, std::size_t num
   }
 }
 
-TEST(scheduler, preserves_topological_validity_and_outputs_on_random_migs) {
+TEST(optimizer, preserves_topological_validity_and_outputs_on_random_migs) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     gen::random_mig_profile profile;
     profile.inputs = 10 + 2 * static_cast<unsigned>(seed);
@@ -281,95 +281,22 @@ TEST(scheduler, preserves_topological_validity_and_outputs_on_random_migs) {
 
     const auto baseline = compiled_netlist::comb_only(net);
     for (const unsigned opt : {0u, 1u, 2u}) {
-      for (const unsigned sched : {1u, 2u}) {
-        const auto scheduled = compiled_netlist::comb_only(
-            net, {.opt_level = opt, .schedule_level = sched});
-        expect_topologically_valid(scheduled, net.num_pis());
-        expect_same_function(baseline, scheduled, net.num_pis(), seed * 31 + opt * 7 + sched);
-        // Reordering never changes what survives — only where it sits.
-        const auto unscheduled = compiled_netlist::comb_only(net, {.opt_level = opt});
-        EXPECT_EQ(scheduled.num_comb_ops(), unscheduled.num_comb_ops())
-            << "opt " << opt << " sched " << sched;
-      }
+      const auto program = compiled_netlist::comb_only(net, {.opt_level = opt});
+      expect_topologically_valid(program, net.num_pis());
+      expect_same_function(baseline, program, net.num_pis(), seed * 31 + opt * 7);
     }
   }
 }
 
-TEST(scheduler, deinterleaves_independent_chains_to_constant_liveness) {
-  // 16 independent chains created round-robin, so the lowering order keeps
-  // all 16 heads live at once; an accumulator then folds the chain results
-  // together, letting each finished head die. The liveness-greedy scheduler
-  // runs one chain down before starting the next and folds heads into the
-  // accumulator as soon as they are ready: peak liveness collapses from the
-  // chain count to O(1), and slot recycling banks the drop as comb_slots.
-  constexpr std::size_t chains = 16;
-  constexpr std::size_t length = 12;
-  mig_network net;
-  const signal b = net.create_pi();
-  std::vector<signal> seeds;
-  for (std::size_t k = 0; k < chains; ++k) {
-    seeds.push_back(net.create_pi());
-    // Pin every seed with a PO so chain-start gates kill nothing: the
-    // greedy tie then strictly prefers continuing a chain (1 kill) or
-    // folding a head into the accumulator (2 kills) over opening one.
-    net.create_po(seeds[k]);
-  }
-  std::vector<signal> heads = seeds;
-  for (std::size_t step = 0; step < length; ++step) {
-    for (std::size_t k = 0; k < chains; ++k) {
-      heads[k] = net.create_maj(heads[k], step % 2 == 0 ? b : !b,
-                                seeds[(k + step + 1) % chains]);
-    }
-  }
-  signal acc = heads[0];
-  for (std::size_t k = 1; k < chains; ++k) {
-    acc = net.create_maj(acc, heads[k], b);
-  }
-  net.create_po(acc);
-
-  const auto plain = compiled_netlist::comb_only(net, {.opt_level = 2});
-  EXPECT_GE(plain.opt_stats().peak_live_slots, chains);
-  EXPECT_EQ(plain.opt_stats().scheduled_op_moves, 0u);
-  for (const unsigned level : {1u, 2u}) {
-    const auto sched =
-        compiled_netlist::comb_only(net, {.opt_level = 2, .schedule_level = level});
-    EXPECT_LT(sched.opt_stats().peak_live_slots, plain.opt_stats().peak_live_slots);
-    EXPECT_LE(sched.opt_stats().peak_live_slots, 6u) << "level " << level;
-    EXPECT_LT(sched.comb_slot_count(), plain.comb_slot_count());
-    EXPECT_GT(sched.opt_stats().scheduled_op_moves, 0u);
-    expect_topologically_valid(sched, net.num_pis());
-    expect_same_function(plain, sched, net.num_pis(), 808 + level);
-  }
-}
-
-TEST(scheduler, reduces_peak_liveness_on_the_mig4k_reference) {
-  // The bench-gated acceptance shape: the mig4k reference netlist must
-  // compile to fewer live slots with scheduling on.
-  const auto net = gen::random_mig({64, 4000, 0.5, 32, 777});
-  const auto balanced = insert_buffers(net);
-  const compiled_netlist plain{balanced.net, balanced.schedule, {.opt_level = 2}};
-  const compiled_netlist sched{balanced.net, balanced.schedule,
-                               {.opt_level = 2, .schedule_level = 1}};
-  EXPECT_LT(sched.opt_stats().peak_live_slots, plain.opt_stats().peak_live_slots);
-  EXPECT_LT(sched.comb_slot_count(), plain.comb_slot_count());
-  // The accounting identity holds with scheduling on.
-  EXPECT_EQ(sched.comb_slot_count() - (1 + balanced.net.num_pis()),
-            sched.opt_stats().peak_live_slots);
-  expect_topologically_valid(sched, balanced.net.num_pis());
-}
-
-TEST(scheduler, options_fingerprint_separates_every_knob) {
+TEST(optimizer, options_fingerprint_separates_every_knob) {
   const compile_options base{};
   const auto fp = [](const compile_options& o) { return engine::options_fingerprint(o); };
   EXPECT_NE(fp(base), fp({.opt_level = 2}));
-  EXPECT_NE(fp(base), fp({.schedule_level = 1}));
-  EXPECT_NE(fp({.schedule_level = 1}), fp({.schedule_level = 2}));
+  EXPECT_NE(fp({.opt_level = 1}), fp({.opt_level = 2}));
   EXPECT_NE(fp(base), fp({.scenario_fingerprint = 7}));
   EXPECT_NE(fp(base), fp({.fdm_lanes = 4}));
-  EXPECT_NE(fp(base), fp({.op_prefetch = true}));
   // Same options, same fingerprint — it keys a cache.
-  EXPECT_EQ(fp({.opt_level = 2, .schedule_level = 1}),
-            fp({.opt_level = 2, .schedule_level = 1}));
+  EXPECT_EQ(fp({.opt_level = 2, .fdm_lanes = 4}), fp({.opt_level = 2, .fdm_lanes = 4}));
 }
 
 TEST(optimizer, session_stats_report_resident_op_and_slot_counts) {
@@ -399,37 +326,34 @@ TEST(optimizer, session_stats_report_resident_op_and_slot_counts) {
   EXPECT_EQ(program->opt_stats().slots_after, program->comb_slot_count());
 }
 
-TEST(scheduler, schedule_levels_occupy_distinct_cache_entries) {
+TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
   engine::parallel_executor executor{2};
   engine::batch_session session{executor};
   const auto net = gen::random_mig({12, 200, 0.5, 8, 99});
   const std::uint64_t fp = engine::network_fingerprint(net);
 
-  const auto plain = session.compile(net, 3, fp, compile_options{.opt_level = 2});
-  const auto sched =
-      session.compile(net, 3, fp, compile_options{.opt_level = 2, .schedule_level = 1});
-  // Distinct entries, distinct programs — a schedule level can never be
-  // served a program compiled at another.
+  const auto raw = session.compile(net, 3, fp, compile_options{.opt_level = 0});
+  const auto opt = session.compile(net, 3, fp, compile_options{.opt_level = 2});
+  // Distinct entries, distinct programs — an opt level can never be served
+  // a program compiled at another.
   EXPECT_EQ(session.stats().entries, 2u);
-  EXPECT_NE(plain.get(), sched.get());
-  EXPECT_EQ(plain->options().schedule_level, 0u);
-  EXPECT_EQ(sched->options().schedule_level, 1u);
+  EXPECT_NE(raw.get(), opt.get());
+  EXPECT_EQ(raw->options().opt_level, 0u);
+  EXPECT_EQ(opt->options().opt_level, 2u);
 
   // Re-requesting either level hits its own entry, never the other's.
-  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 2}).get(), plain.get());
-  EXPECT_EQ(
-      session.compile(net, 3, fp, compile_options{.opt_level = 2, .schedule_level = 1}).get(),
-      sched.get());
+  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 0}).get(), raw.get());
+  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 2}).get(), opt.get());
   EXPECT_EQ(session.stats().entries, 2u);
 
-  // Same function either way; the session surfaces the scheduler's work.
-  expect_same_function(*plain, *sched, net.num_pis(), 909);
+  // Same function either way; the session sums both resident programs.
+  expect_same_function(*raw, *opt, net.num_pis(), 909);
   const auto stats = session.stats();
-  EXPECT_GT(stats.comb_peak_live, 0u);
-  EXPECT_GT(stats.sched_op_moves, 0u);
+  EXPECT_EQ(stats.comb_slots, raw->comb_slot_count() + opt->comb_slot_count());
+  EXPECT_LT(opt->comb_slot_count(), raw->comb_slot_count());
 }
 
-TEST(scheduler, serving_requests_pin_their_compile_options) {
+TEST(optimizer, serving_requests_pin_their_compile_options) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
   const auto net = std::make_shared<mig_network>(gen::random_mig({12, 200, 0.5, 8, 99}));
@@ -444,19 +368,18 @@ TEST(scheduler, serving_requests_pin_their_compile_options) {
     batch.append(wave);
   }
 
-  engine::submit_options plain_opts;
-  plain_opts.compile = compile_options{.opt_level = 2};
-  engine::submit_options sched_opts;
-  sched_opts.compile = compile_options{.opt_level = 2, .schedule_level = 1};
+  engine::submit_options raw_opts;
+  raw_opts.compile = compile_options{.opt_level = 0};
+  engine::submit_options opt_opts;
+  opt_opts.compile = compile_options{.opt_level = 2};
 
-  auto plain_future = serving.submit(net, batch, 3, plain_opts);
-  auto sched_future = serving.submit(net, batch, 3, sched_opts);
-  const auto plain_result = plain_future.get();
-  const auto sched_result = sched_future.get();
-  EXPECT_EQ(plain_result.words, sched_result.words);
+  auto raw_future = serving.submit(net, batch, 3, raw_opts);
+  auto opt_future = serving.submit(net, batch, 3, opt_opts);
+  const auto raw_result = raw_future.get();
+  const auto opt_result = opt_future.get();
+  EXPECT_EQ(raw_result.words, opt_result.words);
   // Two resident programs: the per-request overrides never cross-served.
   EXPECT_EQ(serving.stats().entries, 2u);
-  EXPECT_GT(serving.stats().sched_op_moves, 0u);
 }
 
 }  // namespace
