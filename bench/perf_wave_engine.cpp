@@ -395,20 +395,29 @@ int main(int argc, char** argv) {
     // shared_ptr hot path — no per-request network copy, fingerprint
     // memoized after this first submission.
     (void)serving.submit(shared_raw, sweep_batch, phases).get();
+    // Timed like the parallel row: the per-request batch copies are made
+    // before the clock starts and the results compared after it stops, so
+    // the window holds only submission, evaluation and assembly.
+    std::vector<engine::wave_batch> batches(serving_requests, sweep_batch);
     std::vector<std::future<engine::packed_wave_result>> futures;
     futures.reserve(serving_requests);
+    std::vector<engine::packed_wave_result> results;
+    results.reserve(serving_requests);
     start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < serving_requests; ++r) {
-      futures.push_back(serving.submit(shared_raw, sweep_batch, phases));
+    for (auto& batch : batches) {
+      futures.push_back(serving.submit(shared_raw, std::move(batch), phases));
     }
     for (auto& future : futures) {
-      if (future.get().words != sweep_reference.words) {
+      results.push_back(future.get());
+    }
+    serving_wps =
+        static_cast<double>(serving_requests * sweep_waves) / seconds_since(start);
+    for (const auto& result : results) {
+      if (result.words != sweep_reference.words) {
         std::fprintf(stderr, "FATAL: async serving path diverges from packed\n");
         return 2;
       }
     }
-    serving_wps =
-        static_cast<double>(serving_requests * sweep_waves) / seconds_since(start);
   }
 
   // --- cache-churn sweep ----------------------------------------------------
@@ -469,7 +478,10 @@ int main(int argc, char** argv) {
           }
           batch.append(wave);
         }
-        futures.push_back(churn.submit(circuit, std::move(batch), phases));
+        // A fresh shared_ptr per submission, so the fingerprint memo never
+        // hits and every request re-hashes its circuit.
+        futures.push_back(churn.submit(std::make_shared<const mig_network>(circuit),
+                                       std::move(batch), phases));
         churn_max_bytes = std::max(churn_max_bytes, churn.stats().bytes);
       }
       for (auto& future : futures) {
@@ -630,14 +642,14 @@ int main(int argc, char** argv) {
       rec.depth = piped.depth_after;
 
       // Warm the cache (one compile miss), then measure steady-state hits.
-      const auto warm = scenario_session.run(raw, sweep_batch, phases, scenario);
+      const auto warm = scenario_session.run(raw, sweep_batch, phases, &scenario);
       if (warm.words != sweep_reference.words) {
         std::fprintf(stderr, "FATAL: scenario '%s' diverges from the packed reference\n",
                      name.c_str());
         return 2;
       }
       rec.wps = measure_wps(sweep_waves, [&] {
-        (void)scenario_session.run(raw, sweep_batch, phases, scenario);
+        (void)scenario_session.run(raw, sweep_batch, phases, &scenario);
       });
       scenario_records.push_back(std::move(rec));
     }

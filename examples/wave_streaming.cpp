@@ -94,11 +94,10 @@ int main() {
   // Now the engine path: compile the balanced netlist once (optimizer on —
   // outputs are bit-identical at every level) and stream a far larger job
   // mix through wave_stream — 64 waves per 64-bit word, multi-chunk blocks
-  // evaluated as they fill, memory constant in the stream length. The job
-  // count is known here, so the stream gets it as a reservation hint.
+  // evaluated straight into result planes that grow as the stream does.
   const std::size_t jobs = 100000;
   const engine::compiled_netlist compiled{balanced, {.opt_level = 2}};
-  engine::wave_stream stream{compiled, 3, jobs};
+  engine::wave_stream stream{compiled, 3};
 
   std::mt19937_64 job_rng{42};
   std::vector<std::uint64_t> expect;

@@ -172,13 +172,6 @@ public:
     return block == 0 ? 1 : (block > max_block_chunks ? max_block_chunks : block);
   }
 
-  /// Tasks `shard_block_chunks` splits a batch into.
-  static constexpr std::size_t shard_block_count(std::size_t num_chunks,
-                                                 std::size_t num_workers) {
-    const std::size_t block = shard_block_chunks(num_chunks, num_workers);
-    return (num_chunks + block - 1) / block;
-  }
-
   /// The native multi-word entry: evaluates `num_chunks` consecutive
   /// 64-wave chunks in word-blocks of up to `max_block_chunks`, with
   /// **plane-major** I/O — PI i's chunk words contiguous at

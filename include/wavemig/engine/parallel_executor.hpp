@@ -8,6 +8,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -69,28 +70,23 @@ using group_callback = std::function<void(std::exception_ptr)>;
 /// (prefetch-friendly) and only when its deque runs dry does it steal whole
 /// plane-blocks from the *back* of a victim's deque — the blocks farthest
 /// from where the victim is currently working. There is no single global
-/// queue mutex on the hot path: concurrent streams, sessions, and sharded
-/// runs contend only when they actually steal from each other.
+/// queue mutex on the hot path: concurrent sessions and sharded runs
+/// contend only when they actually steal from each other.
 ///
-/// Three entry points:
-/// * `for_each` shards an index space and blocks until done (what
-///   `run_waves_parallel` uses).
-/// * `submit_group` is its non-blocking sibling: same sharding, returns a
-///   `task_group` completion token immediately — callers await (or attach a
-///   completion callback to) a sharded run without parking a thread inside
-///   the pool. This is what the serving dispatcher runs requests on.
-/// * `submit` enqueues a single asynchronous task (what
-///   `parallel_wave_stream` uses as blocks fill). Called from a worker of
-///   this executor, it lands on that worker's own deque.
+/// Two entry points, both sharding an index space over the same deques:
+/// * `for_each` blocks until done (what `run_waves_parallel` uses).
+/// * `submit_group` is its non-blocking sibling: it returns a `task_group`
+///   completion token immediately, so callers await (or attach a completion
+///   callback to) a sharded run without parking a thread inside the pool.
+///   This is what the serving dispatcher runs requests on.
 ///
-/// All are safe to call from multiple threads concurrently.
+/// Both are safe to call from multiple threads concurrently.
 ///
 /// Precondition: never *block on* the pool (`for_each`, `task_group::wait`,
-/// `run_waves_parallel`, `batch_session::run`, a stream's `finish`) from
-/// inside a task running on the same executor — the blocked worker is the
-/// one that would have to run the awaited tasks, which deadlocks.
-/// Fire-and-forget calls (`submit`, `submit_group` without waiting) are fine
-/// from inside tasks.
+/// `run_waves_parallel`, `batch_session::run`) from inside a task running on
+/// the same executor — the blocked worker is the one that would have to run
+/// the awaited tasks, which deadlocks. `submit_group` without waiting is
+/// fine from inside tasks.
 class parallel_executor {
 public:
   /// `num_threads == 0` resolves to the hardware concurrency (at least 1).
@@ -123,11 +119,6 @@ public:
   task_group submit_group(std::size_t num_tasks, std::function<void(std::size_t, unsigned)> fn,
                           group_callback on_complete = {});
 
-  /// Enqueues one asynchronous task; returns immediately. The task must not
-  /// throw — route errors through state the submitter owns (see
-  /// parallel_wave_stream). Completion is the submitter's business to track.
-  void submit(std::function<void(unsigned)> task);
-
   /// Reusable per-worker scratch for the packed chunk kernel. Only the
   /// worker with index `worker` may touch it while tasks are running.
   [[nodiscard]] std::vector<std::uint64_t>& scratch(unsigned worker) {
@@ -135,12 +126,10 @@ public:
   }
 
 private:
-  /// One queued unit of work: either a plain submitted task (`fn`) or task
-  /// `index` of a sharded group. Group items carry a shared reference to
-  /// the group, so an item survives in a deque (or in a thief's hands) past
-  /// any other item's completion.
+  /// One queued unit of work: task `index` of a sharded group. Items carry a
+  /// shared reference to the group, so an item survives in a deque (or in a
+  /// thief's hands) past any other item's completion.
   struct task_item {
-    std::function<void(unsigned)> fn;
     std::shared_ptr<detail::group_state> group;
     std::size_t index{0};
   };
@@ -154,15 +143,11 @@ private:
     std::deque<task_item> items;
   };
 
-  task_group submit_group_impl(std::size_t num_tasks,
-                               std::function<void(std::size_t, unsigned)> fn,
-                               group_callback on_complete);
   void worker_loop(unsigned worker);
   /// Pops the next item for `worker` (own deque first, then steals). False
   /// when the executor is stopping and every deque is drained.
   bool next_item(unsigned worker, task_item& item);
   void run_item(task_item& item, unsigned worker);
-  void push_item(unsigned deque_index, task_item item);
   /// Wakes sleepers after `count` new items were made visible.
   void notify_new_work(std::size_t count);
 
@@ -170,7 +155,7 @@ private:
   std::vector<std::unique_ptr<work_deque>> deques_;
   std::atomic<std::size_t> pending_{0};   ///< queued items across all deques
   std::atomic<unsigned> sleepers_{0};     ///< workers parked on sleep_cv_
-  std::atomic<unsigned> rr_next_{0};      ///< round-robin cursor for external pushes
+  std::atomic<unsigned> rr_next_{0};      ///< rotates each group's first worker
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
   bool stop_{false};                      ///< guarded by sleep_mutex_
@@ -191,88 +176,6 @@ private:
 /// at every block size.
 packed_wave_result run_waves_parallel(const compiled_netlist& net, const wave_batch& waves,
                                       unsigned phases, parallel_executor& executor);
-
-/// Streaming front-end over the sharded engine: like `wave_stream`, but a
-/// multi-chunk block (`block_waves` waves) is dispatched to the pool the
-/// moment it fills, so evaluation overlaps with wave arrival and with other
-/// streams sharing the executor, and each pool task runs the multi-word
-/// kernel at full width.
-///
-/// Without a hint, each block evaluates into its own plane-major buffer and
-/// finish() splices the per-block planes into the result's full-width
-/// planes in push order. When `expected_waves` fixes the output stride,
-/// blocks evaluate **directly into the final full-width result planes** (at
-/// their chunk offset) and finish() hands the buffer over without any
-/// splice copy; a hint the stream outgrows falls back gracefully (the
-/// buffer re-strides between blocks), and an overshot hint costs one
-/// per-plane compaction at finish(). Either way the result words are
-/// bit-identical to the single-threaded packed path.
-///
-/// push/finish must be called from one thread (the stream owner); the
-/// executor may be shared with any number of other streams and sessions.
-class parallel_wave_stream {
-public:
-  /// Waves per dispatched block: one full pass of the multi-word kernel.
-  static constexpr std::size_t block_waves = 64 * compiled_netlist::max_block_chunks;
-  /// The compiled netlist and the executor must outlive the stream.
-  /// `expected_waves != 0` enables the direct-write path (see class docs).
-  /// Throws std::invalid_argument when the netlist is not wave-coherent
-  /// under `phases` or `phases == 0`.
-  parallel_wave_stream(const compiled_netlist& net, unsigned phases,
-                       parallel_executor& executor, std::size_t expected_waves = 0);
-  ~parallel_wave_stream();
-
-  parallel_wave_stream(const parallel_wave_stream&) = delete;
-  parallel_wave_stream& operator=(const parallel_wave_stream&) = delete;
-
-  /// Enqueues one wave; dispatches a block to the workers once
-  /// `block_waves` are pending.
-  void push(const std::vector<bool>& wave);
-
-  [[nodiscard]] std::size_t waves_pushed() const { return pushed_; }
-  /// Waves whose block a worker has already evaluated. Trails
-  /// `waves_pushed()` while blocks are in flight.
-  [[nodiscard]] std::size_t waves_completed() const {
-    return completed_.load(std::memory_order_relaxed);
-  }
-
-  /// Dispatches any pending partial block, waits for all in-flight blocks,
-  /// and returns the accumulated result for every pushed wave. The stream
-  /// is reusable afterwards (resets).
-  packed_wave_result finish();
-
-private:
-  struct block_job {
-    wave_batch inputs;
-    std::vector<std::uint64_t> out;  ///< unused (empty) on the direct-write path
-    explicit block_job(wave_batch batch) : inputs{std::move(batch)} {}
-  };
-
-  void dispatch_block();
-  void wait_in_flight();
-  /// Direct-write path: grows `direct_words_` so chunks [0, needed) fit.
-  /// Re-striding moves every plane, so it must not race in-flight jobs —
-  /// the caller waits them out first.
-  void ensure_direct_capacity(std::size_t needed_chunks);
-
-  const compiled_netlist& net_;
-  unsigned phases_;
-  parallel_executor& executor_;
-  std::size_t expected_waves_;
-  wave_batch pending_;
-  std::deque<block_job> jobs_;  // deque: stable addresses for in-flight jobs
-  /// Direct-write result storage (expected_waves_ != 0): num_pos planes of
-  /// direct_stride_ words each; dispatched blocks write their chunk range
-  /// in place.
-  std::vector<std::uint64_t> direct_words_;
-  std::size_t direct_stride_{0};
-  std::size_t chunks_dispatched_{0};
-  std::size_t pushed_{0};
-  std::atomic<std::size_t> completed_{0};
-  mutable std::mutex mutex_;
-  std::condition_variable all_done_;
-  std::size_t in_flight_{0};
-};
 
 /// Order-sensitive structural fingerprint of a network: FNV-1a over node
 /// kinds, fan-in references, PI positions, and output drivers. Networks
@@ -343,77 +246,41 @@ public:
                          buffer_insertion_options options = {}, cache_limits limits = {},
                          compile_options compile = {});
 
-  /// Balances + compiles `net` on first sight (cache miss), then evaluates
-  /// the batch on the executor. The returned words are bit-identical to
-  /// `run_waves_packed` on the balanced network.
-  packed_wave_result run(const mig_network& net, const wave_batch& waves, unsigned phases);
-
-  /// Scenario-parameterized run: the program is prepared by the full
-  /// scenario pipeline (fan-out restriction, loss-budget repeaters, then
-  /// balancing) and cached under the scenario's fingerprint, so one session
-  /// serves several scenarios of the same netlist as distinct programs.
-  packed_wave_result run(const mig_network& net, const wave_batch& waves, unsigned phases,
-                         const tech_scenario& scenario);
-
-  /// The cache lookup half of `run`: returns the (balanced + lowered)
-  /// program for `net`, compiling on a miss and touching the LRU order on a
-  /// hit. The returned reference keeps the program alive independently of
-  /// any later eviction.
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases);
-
-  /// Fast path for callers that already fingerprinted the network (the
-  /// serving dispatcher memoizes fingerprints per shared network): a hot
-  /// cache hit is then one hash-map lookup plus an LRU splice, with no
-  /// O(network) re-hash. `fingerprint` must equal
-  /// `network_fingerprint(net)`; passing anything else silently serves the
-  /// wrong program.
+  /// The cache lookup: returns the prepared and lowered program for `net`,
+  /// compiling on a miss and touching the LRU order on a hit. The returned
+  /// reference keeps the program alive independently of any later eviction.
+  ///
+  /// * `scenario` — null means none: a miss balances the network
+  ///   (`insert_buffers` with the session options) and the entry is
+  ///   untagged. Otherwise a miss runs the full scenario pipeline
+  ///   (wave_pipeline with this session's strategy and schedule and the
+  ///   scenario's fan-out limit and loss budget), the program carries the
+  ///   scenario fingerprint and FDM lane count in its compile options, and
+  ///   the key gains the scenario fingerprint — so the same netlist under
+  ///   two scenarios, or with and without one, occupies distinct entries.
+  /// * `opts` — per-program compile options; nullopt means the session's.
+  ///   Every key carries the options fingerprint, so the same netlist at two
+  ///   opt levels occupies two entries and can never cross-serve.
+  /// * `fingerprint` — for callers that already hashed the network (the
+  ///   serving dispatcher memoizes it per shared network): a hot hit is then
+  ///   one hash-map lookup plus an LRU splice, with no O(network) re-hash.
+  ///   It must equal `network_fingerprint(net)`; anything else silently
+  ///   serves the wrong program.
+  ///
+  /// Throws std::invalid_argument when `phases == 0`, before the cache is
+  /// touched, so a malformed request neither compiles nor evicts anything.
   [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(
-      const mig_network& net, unsigned phases, std::uint64_t fingerprint);
+      const mig_network& net, unsigned phases, const tech_scenario* scenario = nullptr,
+      const std::optional<compile_options>& opts = std::nullopt,
+      std::optional<std::uint64_t> fingerprint = std::nullopt);
 
-  /// Scenario-tagged compile: on a miss the network is prepared by the full
-  /// scenario pipeline (wave_pipeline with this session's strategy/schedule
-  /// and the scenario's fan-out limit and loss budget) and lowered with
-  /// compile_options carrying the scenario fingerprint and FDM lane count.
-  /// The cache key gains the scenario fingerprint, so the same netlist
-  /// compiled under two scenarios — or with and without one — occupies
-  /// distinct entries serving distinct programs.
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases,
-                                                                const tech_scenario& scenario);
-
-  /// Fingerprint fast path of the scenario-tagged compile (see above);
-  /// `fingerprint` must equal `network_fingerprint(net)`.
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases,
-                                                                std::uint64_t fingerprint,
-                                                                const tech_scenario& scenario);
-
-  /// Per-request compile-options override: the program is built with `opts`
-  /// instead of this session's defaults, and the cache key carries
-  /// `options_fingerprint(opts)` — so the same netlist compiled at two opt
-  /// levels occupies two distinct entries and can never cross-serve (every
-  /// key, including the default-options paths above, carries its options
-  /// fingerprint).
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases,
-                                                                std::uint64_t fingerprint,
-                                                                const compile_options& opts);
-
-  /// Scenario-tagged compile with a per-request compile-options override;
-  /// the scenario fingerprint and FDM lane count are applied on top of
-  /// `opts` exactly as the default path applies them to the session
-  /// options.
-  [[nodiscard]] std::shared_ptr<const compiled_netlist> compile(const mig_network& net,
-                                                                unsigned phases,
-                                                                std::uint64_t fingerprint,
-                                                                const tech_scenario& scenario,
-                                                                const compile_options& opts);
+  /// `compile` (with the session's options), then evaluates the batch on the
+  /// executor. The returned words are bit-identical to `run_waves_packed` on
+  /// the prepared network.
+  packed_wave_result run(const mig_network& net, const wave_batch& waves, unsigned phases,
+                         const tech_scenario* scenario = nullptr);
 
   [[nodiscard]] session_stats stats() const;
-  [[nodiscard]] std::size_t cached_netlists() const;
-  [[nodiscard]] std::uint64_t cache_hits() const;
-  [[nodiscard]] std::uint64_t cache_misses() const;
 
 private:
   struct cache_key {

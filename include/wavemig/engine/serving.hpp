@@ -200,9 +200,9 @@ struct serving_metrics {
 /// * Per-request compiled-netlist reuse: requests against structurally
 ///   identical networks share one cached program; the request holds its own
 ///   reference, so cache eviction (LRU under `cache_limits`) while the
-///   request is in flight is safe. Submitting the network by `shared_ptr`
-///   additionally memoizes its fingerprint, so a hot resubmission costs one
-///   hash-map lookup instead of an O(network) re-hash.
+///   request is in flight is safe. The session memoizes each submitted
+///   network's fingerprint, so a hot resubmission of the same `shared_ptr`
+///   costs one hash-map lookup instead of an O(network) re-hash.
 /// * Dispatcher threads are deliberately separate from the executor's
 ///   workers: dispatchers prepare and launch, workers evaluate and
 ///   complete; neither ever blocks on the pool from inside it.
@@ -226,39 +226,27 @@ public:
   serving_session(const serving_session&) = delete;
   serving_session& operator=(const serving_session&) = delete;
 
-  /// Enqueues one request and returns a future for its packed result.
-  /// Validation happens on the dispatcher, so malformed requests surface as
-  /// exceptions from `future.get()`, not from `submit`. Throws
-  /// session_closed_error when the session is closed and
-  /// admission_rejected_error when the backlog is at the admission bound.
+  /// Enqueues one request; `on_complete` fires exactly once per accepted
+  /// request (see serving_callback for the threading contract). Validation
+  /// happens on the dispatcher, so a malformed request fails through its
+  /// callback, not from `submit`, and a zero-wave batch completes with an
+  /// empty result. Throws session_closed_error when the session is closed
+  /// and admission_rejected_error when the backlog is at the admission
+  /// bound or the request is shed.
   ///
-  /// The `shared_ptr` overloads are the hot path: the session keeps only a
-  /// reference (no deep copy) and memoizes the network's fingerprint, so
-  /// resubmitting the same network object costs one cache lookup. The
-  /// by-value overloads wrap the network in a fresh `shared_ptr` — correct,
-  /// but they re-fingerprint per submission.
-  [[nodiscard]] std::future<packed_wave_result> submit(
-      std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases);
-  [[nodiscard]] std::future<packed_wave_result> submit(mig_network net, wave_batch waves,
-                                                       unsigned phases);
-
-  /// Callback variants: `on_complete` fires exactly once per accepted
-  /// request (see serving_callback for the threading contract).
+  /// The session keeps a reference to `net` (no deep copy) and memoizes its
+  /// fingerprint per object, so resubmitting the same `shared_ptr` costs one
+  /// cache lookup: wrap a network in `make_shared` once and reuse it. `opts`
+  /// adds priority, an absolute deadline, a per-client fairness key, strict
+  /// tail-bit validation, the technology scenario and a compile-options
+  /// override (see submit_options); the defaults give FIFO order, no
+  /// deadline, and an untagged program built with the session's options.
+  /// A scenario-tagged request compiles through the scenario cache path, so
+  /// one session serves several scenarios of the same netlist concurrently —
+  /// each scenario's requests coalesce among themselves (the coalescing key
+  /// is the compiled program) and never across scenarios.
   void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-              serving_callback on_complete);
-  void submit(mig_network net, wave_batch waves, unsigned phases,
-              serving_callback on_complete);
-
-  /// Scenario-parameterized submission: the request compiles through the
-  /// scenario-tagged cache path (batch_session::compile with a scenario), so
-  /// one session serves several technology scenarios of the same netlist
-  /// concurrently — each scenario's requests coalesce among themselves (the
-  /// coalescing key is the compiled program) and never across scenarios.
-  [[nodiscard]] std::future<packed_wave_result> submit(
-      std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-      tech_scenario scenario);
-  void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-              tech_scenario scenario, serving_callback on_complete);
+              serving_callback on_complete, submit_options opts = {});
 
   /// Zero-copy packed submission: `plane_words` holds the waves already in
   /// the engine's plane-major layout — ceil(num_waves / 64) contiguous
@@ -269,48 +257,22 @@ public:
   /// packing, no transpose, no copy happens anywhere between the producer
   /// and the kernel. Bits above `num_waves` in each plane's last chunk are
   /// masked off (or rejected — see submit_options::reject_stray_tail_bits).
-  /// Like `submit`, validation (including the vector-size check) happens on
-  /// the dispatcher, so malformed requests surface through the future /
-  /// callback, and session_closed_error / admission_rejected_error are
-  /// thrown when the session is closed or the backlog is at the bound.
-  [[nodiscard]] std::future<packed_wave_result> submit_packed(
-      std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-      std::size_t num_waves, unsigned phases);
-  [[nodiscard]] std::future<packed_wave_result> submit_packed(
-      mig_network net, std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-      unsigned phases);
-
-  /// Callback variants of the zero-copy packed submission.
+  /// A packed request declares its shape, so zero waves — like words that
+  /// do not match the declared shape — fails it with invalid_request_error,
+  /// through the callback like every other validation error. Otherwise as
+  /// `submit`.
   void submit_packed(std::shared_ptr<const mig_network> net,
                      std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-                     unsigned phases, serving_callback on_complete);
-  void submit_packed(mig_network net, std::vector<std::uint64_t> plane_words,
-                     std::size_t num_waves, unsigned phases, serving_callback on_complete);
+                     unsigned phases, serving_callback on_complete, submit_options opts = {});
 
-  /// Scenario variants of the zero-copy packed submission (see the
-  /// scenario `submit` overloads for the caching/coalescing contract).
-  [[nodiscard]] std::future<packed_wave_result> submit_packed(
-      std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-      std::size_t num_waves, unsigned phases, tech_scenario scenario);
-  void submit_packed(std::shared_ptr<const mig_network> net,
-                     std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-                     unsigned phases, tech_scenario scenario, serving_callback on_complete);
-
-  /// Policy-carrying submissions: `opts` adds priority, an absolute
-  /// deadline, a per-client fairness key, strict tail-bit validation, and
-  /// an optional scenario (see submit_options). Default-constructed options
-  /// make these behave exactly like the plain overloads above.
+  /// Future forms of the two entries above: the request's result arrives
+  /// through the returned future, and its error is rethrown by `get()`.
   [[nodiscard]] std::future<packed_wave_result> submit(
       std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-      submit_options opts);
-  void submit(std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-              submit_options opts, serving_callback on_complete);
+      submit_options opts = {});
   [[nodiscard]] std::future<packed_wave_result> submit_packed(
       std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-      std::size_t num_waves, unsigned phases, submit_options opts);
-  void submit_packed(std::shared_ptr<const mig_network> net,
-                     std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-                     unsigned phases, submit_options opts, serving_callback on_complete);
+      std::size_t num_waves, unsigned phases, submit_options opts = {});
 
   /// Admission bound: while `pending() >= max_pending`, submissions throw
   /// admission_rejected_error instead of queueing (and are counted in
@@ -325,7 +287,6 @@ public:
   /// metrics().requests_shed). Safe to adjust while the session is serving;
   /// the default (zero) policy disables shedding.
   void set_shed_policy(shed_policy policy);
-  [[nodiscard]] shed_policy get_shed_policy() const;
 
   /// Blocks until every request accepted so far completed. New submissions
   /// remain allowed (and may keep `drain` from returning if they keep
@@ -350,9 +311,10 @@ public:
   /// Dispatcher-level counters (gulps, coalescing, completions).
   [[nodiscard]] serving_metrics metrics() const;
   /// Drains the queue-wait sample reservoir: per-request milliseconds spent
-  /// between `submit` and the dispatcher picking the request up, for up to
-  /// the most recent 8192 requests since the previous take. Benchmarks turn
-  /// these into queue-wait percentiles.
+  /// between `submit` and the dispatcher picking the request up, for the
+  /// first 8192 requests dispatched since the previous take (later ones are
+  /// not sampled until the next take). Benchmarks turn these into
+  /// queue-wait percentiles.
   [[nodiscard]] std::vector<double> take_queue_wait_samples();
   /// The synchronous session underneath — shares the cache with the async
   /// path, so mixed sync/async workloads reuse one set of programs.

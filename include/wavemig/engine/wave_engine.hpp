@@ -244,26 +244,19 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
 /// arrive incrementally: waves accumulate into a multi-chunk block
 /// (`block_waves` = 512 at the default kernel width) that is evaluated in
 /// one multi-word pass the moment it fills, with the pending storage and
-/// scratch reused across blocks, so the working set stays constant
-/// regardless of stream length.
-///
-/// When `expected_waves` fixes the output stride, flushed blocks evaluate
-/// **directly into the final full-width result planes** at their chunk
-/// offset and finish() hands the buffer over without the per-block splice
-/// copy. A hint the stream outgrows falls back gracefully (the buffer
-/// re-strides between flushes); an overshot hint costs one per-plane
-/// compaction at finish(). Result words are bit-identical either way.
+/// scratch reused across blocks. Each flushed block evaluates directly into
+/// the full-width result planes at its chunk offset; the planes grow
+/// geometrically, and finish() compacts them to the result stride and hands
+/// the buffer over. Result words are bit-identical to `run_waves_packed`.
 class wave_stream {
 public:
   /// Waves per evaluated block: one full pass of the multi-word kernel.
   static constexpr std::size_t block_waves = 64 * compiled_netlist::max_block_chunks;
 
-  /// The compiled netlist must outlive the stream. `expected_waves != 0`
-  /// enables the direct-write path (see class docs) — exact or generous
-  /// hints skip the finish()-time splice entirely. Throws
+  /// The compiled netlist must outlive the stream. Throws
   /// std::invalid_argument when the netlist is not wave-coherent under
   /// `phases` or `phases == 0`.
-  wave_stream(const compiled_netlist& net, unsigned phases, std::size_t expected_waves = 0);
+  wave_stream(const compiled_netlist& net, unsigned phases);
 
   /// Enqueues one wave; evaluates transparently once a block is pending.
   void push(const std::vector<bool>& wave);
@@ -278,24 +271,17 @@ public:
 
 private:
   void flush_pending();
-  /// Direct-write path: grows `done_words_` (re-striding the planes) so
-  /// chunks [0, needed) fit at a common stride.
-  void ensure_direct_capacity(std::size_t needed_chunks);
+  /// Grows `done_words_` (re-striding the planes) so chunks [0, needed)
+  /// fit at a common stride.
+  void ensure_capacity(std::size_t needed_chunks);
 
   const compiled_netlist& net_;
   unsigned phases_;
-  std::size_t expected_waves_;
   wave_batch pending_;
-  /// Unhinted: flushed blocks, concatenated — block b occupies
-  /// done_chunks_[b] * num_pos words, plane-major with stride == that
-  /// block's chunk count, and finish() splices the per-block planes into
-  /// the result's full-width planes (or moves the buffer wholesale when
-  /// only one block flushed). Hinted (`expected_waves_ != 0`): num_pos
-  /// full-width planes of direct_stride_ words each; flushes land at their
-  /// final chunk offset and finish() moves the buffer out splice-free.
+  /// The result planes: num_pos planes of done_stride_ words each, of which
+  /// the first flushed_chunks_ hold evaluated blocks.
   std::vector<std::uint64_t> done_words_;
-  std::vector<std::size_t> done_chunks_;
-  std::size_t direct_stride_{0};
+  std::size_t done_stride_{0};
   std::size_t flushed_chunks_{0};
   std::vector<std::uint64_t> scratch_;
   std::size_t pushed_{0};

@@ -1,7 +1,8 @@
 #pragma once
 
 // Internal helpers shared by the packed front-ends (wave_engine.cpp,
-// parallel_executor.cpp) for assembling and finishing plane-major results.
+// parallel_executor.cpp, serving.cpp) for filling and finishing plane-major
+// words.
 // Not installed; nothing outside src/engine includes this.
 
 #include <cstdint>
@@ -12,8 +13,8 @@
 namespace wavemig::engine::detail {
 
 /// Copies `n` words, sized for the per-plane copies of the packed layouts:
-/// short copies (a handful of chunk words — the shape of every block splice
-/// and of wide-PI/few-wave appends) use a plain loop, because a
+/// short copies (a handful of chunk words — the shape of wide-PI/few-wave
+/// appends) use a plain loop, because a
 /// runtime-sized memcpy call costs more than the copy itself (measured in
 /// PR 5 on exactly this pattern); long copies keep memcpy's bulk path.
 inline void copy_words_small(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
@@ -23,20 +24,6 @@ inline void copy_words_small(std::uint64_t* dst, const std::uint64_t* src, std::
     }
   } else {
     std::memcpy(dst, src, n * sizeof(std::uint64_t));
-  }
-}
-
-/// Splices one plane-major block (`block_chunks` chunks, plane stride ==
-/// its own chunk count) into a plane-major destination of stride
-/// `dst_stride` at chunk offset `chunk_offset` — the assembly step of the
-/// streaming front-ends. One contiguous chunk-word copy per plane
-/// (block_chunks is at most max_block_chunks everywhere, so the copy takes
-/// copy_words_small's loop path).
-inline void splice_block_planes(const std::uint64_t* src, std::size_t block_chunks,
-                                std::uint64_t* dst, std::size_t dst_stride,
-                                std::size_t chunk_offset, std::size_t num_planes) {
-  for (std::size_t p = 0; p < num_planes; ++p) {
-    copy_words_small(dst + p * dst_stride + chunk_offset, src + p * block_chunks, block_chunks);
   }
 }
 

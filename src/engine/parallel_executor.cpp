@@ -1,8 +1,8 @@
 #include "wavemig/engine/parallel_executor.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <exception>
+#include <stdexcept>
 
 #include "block_splice.hpp"
 #include "wavemig/fault/fault_injection.hpp"
@@ -28,18 +28,6 @@ struct group_state {
 };
 
 }  // namespace detail
-
-namespace {
-
-/// Identity of the current thread inside a pool, so `submit` from a worker
-/// lands on that worker's own deque (locality) instead of round-robin.
-struct worker_identity {
-  const void* owner{nullptr};
-  unsigned index{0};
-};
-thread_local worker_identity tls_worker;
-
-}  // namespace
 
 // --------------------------------------------------------- task_group ---
 
@@ -96,13 +84,11 @@ parallel_executor::~parallel_executor() {
 }
 
 void parallel_executor::worker_loop(unsigned worker) {
-  tls_worker = {this, worker};
   task_item item;
   while (next_item(worker, item)) {
     run_item(item, worker);
-    item = task_item{};  // release the group/fn before going back to sleep
+    item = task_item{};  // release the group before going back to sleep
   }
-  tls_worker = {};
 }
 
 bool parallel_executor::next_item(unsigned worker, task_item& item) {
@@ -110,7 +96,7 @@ bool parallel_executor::next_item(unsigned worker, task_item& item) {
   const std::size_t num_workers = deques_.size();
   for (;;) {
     // Own deque first, from the front: a group's pre-partitioned range runs
-    // in ascending chunk order (prefetch-friendly), plain submissions FIFO.
+    // in ascending chunk order (prefetch-friendly).
     {
       std::lock_guard<std::mutex> lock{own.mutex};
       if (!own.items.empty()) {
@@ -120,9 +106,9 @@ bool parallel_executor::next_item(unsigned worker, task_item& item) {
         return true;
       }
     }
-    // Empty: steal a whole item (one plane-block of a group, or one plain
-    // task) from the back of a victim — the work farthest from where the
-    // victim is currently progressing.
+    // Empty: steal a whole item (one plane-block of a group) from the back
+    // of a victim — the work farthest from where the victim is currently
+    // progressing.
     // executor.steal.delay (delay action, sleeps inside hit()): widens the
     // own-empty → steal race window so chaos runs exercise interleavings a
     // quiet machine rarely produces.
@@ -158,10 +144,6 @@ void parallel_executor::run_item(task_item& item, unsigned worker) {
   // worker goes dark mid-pass; stealing must keep the rest of the group
   // progressing and the result bit-identical.
   (void)WAVEMIG_FAULT_HIT("executor.worker.stall");
-  if (!item.group) {
-    item.fn(worker);  // plain tasks must not throw (documented contract)
-    return;
-  }
   detail::group_state& group = *item.group;
   if (!group.cancelled.load(std::memory_order_relaxed)) {
     try {
@@ -196,12 +178,6 @@ void parallel_executor::run_item(task_item& item, unsigned worker) {
   }
 }
 
-void parallel_executor::push_item(unsigned deque_index, task_item item) {
-  auto& deque = *deques_[deque_index];
-  std::lock_guard<std::mutex> lock{deque.mutex};
-  deque.items.push_back(std::move(item));
-}
-
 void parallel_executor::notify_new_work(std::size_t count) {
   if (sleepers_.load() == 0) {
     return;  // every worker is already awake and will rescan
@@ -218,21 +194,9 @@ void parallel_executor::notify_new_work(std::size_t count) {
   }
 }
 
-void parallel_executor::submit(std::function<void(unsigned)> task) {
-  task_item item;
-  item.fn = std::move(task);
-  const unsigned target = tls_worker.owner == this
-                              ? tls_worker.index
-                              : rr_next_.fetch_add(1, std::memory_order_relaxed) %
-                                    static_cast<unsigned>(deques_.size());
-  pending_.fetch_add(1);
-  push_item(target, std::move(item));
-  notify_new_work(1);
-}
-
-task_group parallel_executor::submit_group_impl(
-    std::size_t num_tasks, std::function<void(std::size_t, unsigned)> fn,
-    group_callback on_complete) {
+task_group parallel_executor::submit_group(std::size_t num_tasks,
+                                           std::function<void(std::size_t, unsigned)> fn,
+                                           group_callback on_complete) {
   auto state = std::make_shared<detail::group_state>();
   state->fn = std::move(fn);
   if (num_tasks == 0) {
@@ -275,12 +239,6 @@ task_group parallel_executor::submit_group_impl(
   return task_group{std::move(state)};
 }
 
-task_group parallel_executor::submit_group(std::size_t num_tasks,
-                                           std::function<void(std::size_t, unsigned)> fn,
-                                           group_callback on_complete) {
-  return submit_group_impl(num_tasks, std::move(fn), std::move(on_complete));
-}
-
 void parallel_executor::for_each(std::size_t num_tasks,
                                  const std::function<void(std::size_t, unsigned)>& fn) {
   if (num_tasks == 0) {
@@ -288,7 +246,7 @@ void parallel_executor::for_each(std::size_t num_tasks,
   }
   // `fn` is captured by reference: this call blocks until the group
   // completed, so the reference outlives the tasks.
-  const task_group group = submit_group_impl(
+  const task_group group = submit_group(
       num_tasks, [&fn](std::size_t task, unsigned worker) { fn(task, worker); }, {});
   group.wait();
   if (auto error = group.error()) {
@@ -328,154 +286,6 @@ packed_wave_result run_waves_parallel(const compiled_netlist& net, const wave_ba
                        executor.scratch(worker));
   });
   detail::mask_result_tail(result);
-  return result;
-}
-
-// ------------------------------------------------------------- stream ---
-
-parallel_wave_stream::parallel_wave_stream(const compiled_netlist& net, unsigned phases,
-                                           parallel_executor& executor,
-                                           std::size_t expected_waves)
-    : net_{net},
-      phases_{phases},
-      executor_{executor},
-      expected_waves_{expected_waves},
-      pending_{net.num_pis()} {
-  validate_packed_run(net, net.num_pis(), phases, "parallel_wave_stream");
-  pending_.reserve(block_waves);
-}
-
-parallel_wave_stream::~parallel_wave_stream() {
-  // In-flight block tasks reference this stream's jobs; never die under them.
-  wait_in_flight();
-}
-
-void parallel_wave_stream::push(const std::vector<bool>& wave) {
-  pending_.append(wave);  // validates the width
-  ++pushed_;
-  if (pending_.num_waves() == block_waves) {
-    dispatch_block();
-  }
-}
-
-void parallel_wave_stream::ensure_direct_capacity(std::size_t needed_chunks) {
-  if (direct_stride_ >= needed_chunks) {
-    return;
-  }
-  std::size_t new_stride = std::max(needed_chunks, (expected_waves_ + 63) / 64);
-  if (direct_stride_ != 0) {
-    // The hint undershot: re-striding moves every plane, which must not
-    // race the in-flight jobs still writing the old layout. Correctness is
-    // preserved; the one-off stall is the price of a wrong hint.
-    wait_in_flight();
-    new_stride = std::max(needed_chunks, 2 * direct_stride_);
-  }
-  std::vector<std::uint64_t> grown(new_stride * net_.num_pos(), 0);
-  if (chunks_dispatched_ != 0) {
-    for (std::size_t p = 0; p < net_.num_pos(); ++p) {
-      std::memcpy(grown.data() + p * new_stride, direct_words_.data() + p * direct_stride_,
-                  chunks_dispatched_ * sizeof(std::uint64_t));
-    }
-  }
-  direct_words_.swap(grown);
-  direct_stride_ = new_stride;
-}
-
-void parallel_wave_stream::dispatch_block() {
-  jobs_.emplace_back(std::move(pending_));
-  pending_ = wave_batch{net_.num_pis()};
-  pending_.reserve(block_waves);
-  block_job* job = &jobs_.back();  // deque: stable across later push_backs
-  const std::size_t chunks = job->inputs.num_chunks();
-
-  // Hinted streams write straight into the final full-width result planes
-  // at this block's chunk offset — no per-job buffer, no finish()-time
-  // splice. Unhinted streams keep the per-job buffer + splice path.
-  std::uint64_t* out_base;
-  std::size_t out_stride;
-  if (expected_waves_ != 0) {
-    ensure_direct_capacity(chunks_dispatched_ + chunks);
-    out_base = direct_words_.data() + chunks_dispatched_;
-    out_stride = direct_stride_;
-  } else {
-    job->out.resize(chunks * net_.num_pos());
-    out_base = job->out.data();
-    out_stride = chunks;
-  }
-  chunks_dispatched_ += chunks;
-
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    ++in_flight_;
-  }
-  executor_.submit([this, job, out_base, out_stride](unsigned worker) {
-    const std::size_t job_chunks = job->inputs.num_chunks();
-    eval_packed_planes(net_, job->inputs.view(),
-                       {out_base, out_stride, net_.num_pos(), job_chunks},
-                       executor_.scratch(worker));
-    completed_.fetch_add(job->inputs.num_waves(), std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock{mutex_};
-    if (--in_flight_ == 0) {
-      all_done_.notify_all();
-    }
-  });
-}
-
-void parallel_wave_stream::wait_in_flight() {
-  std::unique_lock<std::mutex> lock{mutex_};
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-packed_wave_result parallel_wave_stream::finish() {
-  if (!pending_.empty()) {
-    dispatch_block();
-  }
-  wait_in_flight();
-
-  packed_wave_result result;
-  result.num_pos = net_.num_pos();
-  result.num_waves = pushed_;
-  fill_packed_clock_metrics(result, net_, phases_, pushed_);
-  const std::size_t total_chunks = result.num_chunks();
-  if (expected_waves_ != 0) {
-    // Direct-write path: blocks already landed at their final chunk
-    // offsets. An exact (or matching) hint hands the buffer over as-is; an
-    // overshot hint compacts each plane down to the result stride first
-    // (ascending planes: the destination never overruns the source).
-    if (direct_stride_ > total_chunks) {
-      for (std::size_t p = 0; p < result.num_pos; ++p) {
-        std::memmove(direct_words_.data() + p * total_chunks,
-                     direct_words_.data() + p * direct_stride_,
-                     total_chunks * sizeof(std::uint64_t));
-      }
-    }
-    direct_words_.resize(total_chunks * result.num_pos);
-    result.words = std::move(direct_words_);
-    direct_words_ = {};
-    direct_stride_ = 0;
-  } else if (jobs_.size() == 1) {
-    // A single block already has the result's plane stride.
-    result.words = std::move(jobs_.front().out);
-  } else if (!jobs_.empty()) {
-    // Splice each job's plane-major block (stride == its own chunk count)
-    // into the full-width result planes — contiguous chunk-word copies, in
-    // push order, so the words are bit-identical to the single-threaded
-    // packed path.
-    result.words.resize(total_chunks * net_.num_pos());
-    std::size_t chunk_offset = 0;
-    for (const auto& job : jobs_) {
-      const std::size_t job_chunks = job.inputs.num_chunks();
-      detail::splice_block_planes(job.out.data(), job_chunks, result.words.data(),
-                                  total_chunks, chunk_offset, net_.num_pos());
-      chunk_offset += job_chunks;
-    }
-  }
-  detail::mask_result_tail(result);
-
-  jobs_.clear();
-  chunks_dispatched_ = 0;
-  pushed_ = 0;
-  completed_.store(0, std::memory_order_relaxed);
   return result;
 }
 
@@ -533,11 +343,6 @@ void batch_session::evict_to_limits() {
   }
 }
 
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases) {
-  return compile(net, phases, network_fingerprint(net));
-}
-
 std::shared_ptr<const compiled_netlist> batch_session::lookup(const cache_key& key) {
   std::lock_guard<std::mutex> lock{mutex_};
   if (const auto it = cache_.find(key); it != cache_.end()) {
@@ -569,80 +374,51 @@ std::shared_ptr<const compiled_netlist> batch_session::insert(
   return program;
 }
 
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases,
-                                                               std::uint64_t fingerprint) {
-  return compile(net, phases, fingerprint, compile_options_);
-}
-
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases,
-                                                               std::uint64_t fingerprint,
-                                                               const compile_options& opts) {
-  const cache_key key{fingerprint, options_.strategy, phases, 0, options_fingerprint(opts)};
+std::shared_ptr<const compiled_netlist> batch_session::compile(
+    const mig_network& net, unsigned phases, const tech_scenario* scenario,
+    const std::optional<compile_options>& opts, std::optional<std::uint64_t> fingerprint) {
+  // Reject before the lookup: a zero-phase request must neither compile a
+  // program nor count a miss, and above all never evict a hot entry.
+  if (phases == 0) {
+    throw std::invalid_argument{"batch_session: at least one clock phase required"};
+  }
+  // The effective options — with a scenario, its tag and FDM lane count
+  // applied on top of the request or session base — are computed *before*
+  // the key, so the options fingerprint in the key always describes exactly
+  // the program the entry holds. Untagged entries keep scenario 0 (tech
+  // scenario fingerprints are never 0).
+  compile_options effective = opts.value_or(compile_options_);
+  if (scenario != nullptr) {
+    effective.scenario_fingerprint = scenario->fingerprint();
+    effective.fdm_lanes = scenario->fdm_lanes;
+  }
+  const cache_key key{fingerprint ? *fingerprint : network_fingerprint(net), options_.strategy,
+                      phases, scenario != nullptr ? effective.scenario_fingerprint : 0,
+                      options_fingerprint(effective)};
   if (auto program = lookup(key)) {
     return program;
   }
 
-  // Balance + lower + optimize outside the lock; a concurrent miss on the
+  // Prepare + lower + optimize outside the lock; a concurrent miss on the
   // same key compiles the identical program and the first insert wins.
-  const auto balanced = insert_buffers(net, options_);
-  return insert(key,
-                std::make_shared<const compiled_netlist>(balanced.net, balanced.schedule, opts));
-}
-
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases,
-                                                               const tech_scenario& scenario) {
-  return compile(net, phases, network_fingerprint(net), scenario);
-}
-
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases,
-                                                               std::uint64_t fingerprint,
-                                                               const tech_scenario& scenario) {
-  return compile(net, phases, fingerprint, scenario, compile_options_);
-}
-
-std::shared_ptr<const compiled_netlist> batch_session::compile(const mig_network& net,
-                                                               unsigned phases,
-                                                               std::uint64_t fingerprint,
-                                                               const tech_scenario& scenario,
-                                                               const compile_options& opts) {
-  // The effective options — scenario tag and FDM lane count applied on top
-  // of the session/request base — are computed *before* the key, so the
-  // options fingerprint in the key always describes exactly the program
-  // the entry holds.
-  compile_options tagged = opts;
-  tagged.scenario_fingerprint = scenario.fingerprint();
-  tagged.fdm_lanes = scenario.fdm_lanes;
-  const cache_key key{fingerprint, options_.strategy, phases, tagged.scenario_fingerprint,
-                      options_fingerprint(tagged)};
-  if (auto program = lookup(key)) {
-    return program;
+  if (scenario == nullptr) {
+    const auto balanced = insert_buffers(net, options_);
+    return insert(key, std::make_shared<const compiled_netlist>(balanced.net, balanced.schedule,
+                                                                effective));
   }
-
   // Scenario preparation runs the full pipeline — fan-out restriction at
   // the scenario's capability, loss-budget repeaters, then balancing with
-  // this session's strategy/schedule — and the lowered program carries the
-  // scenario tag and FDM lane count in its compile options.
+  // this session's strategy/schedule.
   pipeline_options prep;
-  prep.scenario = scenario;
+  prep.scenario = *scenario;
   prep.strategy = options_.strategy;
   prep.schedule = options_.schedule;
-  auto prepared = wave_pipeline(net, prep);
-
-  return insert(key, std::make_shared<const compiled_netlist>(prepared.net, tagged));
+  const auto prepared = wave_pipeline(net, prep);
+  return insert(key, std::make_shared<const compiled_netlist>(prepared.net, effective));
 }
 
 packed_wave_result batch_session::run(const mig_network& net, const wave_batch& waves,
-                                      unsigned phases) {
-  const auto compiled = compile(net, phases);
-  return run_waves_parallel(*compiled, waves, phases, executor_);
-}
-
-packed_wave_result batch_session::run(const mig_network& net, const wave_batch& waves,
-                                      unsigned phases, const tech_scenario& scenario) {
+                                      unsigned phases, const tech_scenario* scenario) {
   const auto compiled = compile(net, phases, scenario);
   return run_waves_parallel(*compiled, waves, phases, executor_);
 }
@@ -655,21 +431,6 @@ session_stats batch_session::stats() const {
     s.comb_slots += entry.program->comb_slot_count();
   }
   return s;
-}
-
-std::size_t batch_session::cached_netlists() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return cache_.size();
-}
-
-std::uint64_t batch_session::cache_hits() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return hits_;
-}
-
-std::uint64_t batch_session::cache_misses() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return misses_;
 }
 
 }  // namespace wavemig::engine

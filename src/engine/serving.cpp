@@ -68,153 +68,42 @@ void serving_session::enqueue(request req) {
   queue_ready_.notify_one();
 }
 
+namespace {
+
+/// The future forms' adapter: a callback that settles `promise`.
+serving_callback settle(const std::shared_ptr<std::promise<packed_wave_result>>& promise) {
+  return [promise](packed_wave_result result, std::exception_ptr error) {
+    if (error) {
+      promise->set_exception(error);
+    } else {
+      promise->set_value(std::move(result));
+    }
+  };
+}
+
+}  // namespace
+
 void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch waves,
-                             unsigned phases, serving_callback on_complete) {
+                             unsigned phases, serving_callback on_complete,
+                             submit_options opts) {
   request req;
   req.net = std::move(net);
   req.waves = std::move(waves);
   req.phases = phases;
+  req.opts = std::move(opts);
   req.done = std::move(on_complete);
   enqueue(std::move(req));
-}
-
-void serving_session::submit(mig_network net, wave_batch waves, unsigned phases,
-                             serving_callback on_complete) {
-  submit(std::make_shared<const mig_network>(std::move(net)), std::move(waves), phases,
-         std::move(on_complete));
-}
-
-std::future<packed_wave_result> serving_session::submit(
-    std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit(std::move(net), std::move(waves), phases,
-         [promise](packed_wave_result result, std::exception_ptr error) {
-           if (error) {
-             promise->set_exception(error);
-           } else {
-             promise->set_value(std::move(result));
-           }
-         });
-  return future;
-}
-
-std::future<packed_wave_result> serving_session::submit(mig_network net, wave_batch waves,
-                                                        unsigned phases) {
-  return submit(std::make_shared<const mig_network>(std::move(net)), std::move(waves),
-                phases);
-}
-
-void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch waves,
-                             unsigned phases, tech_scenario scenario,
-                             serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.waves = std::move(waves);
-  req.phases = phases;
-  req.opts.scenario = std::make_shared<const tech_scenario>(std::move(scenario));
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
-
-std::future<packed_wave_result> serving_session::submit(
-    std::shared_ptr<const mig_network> net, wave_batch waves, unsigned phases,
-    tech_scenario scenario) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit(std::move(net), std::move(waves), phases, std::move(scenario),
-         [promise](packed_wave_result result, std::exception_ptr error) {
-           if (error) {
-             promise->set_exception(error);
-           } else {
-             promise->set_value(std::move(result));
-           }
-         });
-  return future;
 }
 
 void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
                                     std::vector<std::uint64_t> plane_words,
                                     std::size_t num_waves, unsigned phases,
-                                    serving_callback on_complete) {
+                                    serving_callback on_complete, submit_options opts) {
   request req;
   req.net = std::move(net);
   req.plane_words = std::move(plane_words);
   req.packed_waves = num_waves;
   req.packed = true;
-  req.phases = phases;
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
-
-void serving_session::submit_packed(mig_network net, std::vector<std::uint64_t> plane_words,
-                                    std::size_t num_waves, unsigned phases,
-                                    serving_callback on_complete) {
-  submit_packed(std::make_shared<const mig_network>(std::move(net)), std::move(plane_words),
-                num_waves, phases, std::move(on_complete));
-}
-
-std::future<packed_wave_result> serving_session::submit_packed(
-    std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-    std::size_t num_waves, unsigned phases) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit_packed(std::move(net), std::move(plane_words), num_waves, phases,
-                [promise](packed_wave_result result, std::exception_ptr error) {
-                  if (error) {
-                    promise->set_exception(error);
-                  } else {
-                    promise->set_value(std::move(result));
-                  }
-                });
-  return future;
-}
-
-std::future<packed_wave_result> serving_session::submit_packed(
-    mig_network net, std::vector<std::uint64_t> plane_words, std::size_t num_waves,
-    unsigned phases) {
-  return submit_packed(std::make_shared<const mig_network>(std::move(net)),
-                       std::move(plane_words), num_waves, phases);
-}
-
-void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
-                                    std::vector<std::uint64_t> plane_words,
-                                    std::size_t num_waves, unsigned phases,
-                                    tech_scenario scenario, serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.plane_words = std::move(plane_words);
-  req.packed_waves = num_waves;
-  req.packed = true;
-  req.phases = phases;
-  req.opts.scenario = std::make_shared<const tech_scenario>(std::move(scenario));
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
-}
-
-std::future<packed_wave_result> serving_session::submit_packed(
-    std::shared_ptr<const mig_network> net, std::vector<std::uint64_t> plane_words,
-    std::size_t num_waves, unsigned phases, tech_scenario scenario) {
-  auto promise = std::make_shared<std::promise<packed_wave_result>>();
-  auto future = promise->get_future();
-  submit_packed(std::move(net), std::move(plane_words), num_waves, phases,
-                std::move(scenario),
-                [promise](packed_wave_result result, std::exception_ptr error) {
-                  if (error) {
-                    promise->set_exception(error);
-                  } else {
-                    promise->set_value(std::move(result));
-                  }
-                });
-  return future;
-}
-
-void serving_session::submit(std::shared_ptr<const mig_network> net, wave_batch waves,
-                             unsigned phases, submit_options opts,
-                             serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.waves = std::move(waves);
   req.phases = phases;
   req.opts = std::move(opts);
   req.done = std::move(on_complete);
@@ -226,30 +115,8 @@ std::future<packed_wave_result> serving_session::submit(
     submit_options opts) {
   auto promise = std::make_shared<std::promise<packed_wave_result>>();
   auto future = promise->get_future();
-  submit(std::move(net), std::move(waves), phases, std::move(opts),
-         [promise](packed_wave_result result, std::exception_ptr error) {
-           if (error) {
-             promise->set_exception(error);
-           } else {
-             promise->set_value(std::move(result));
-           }
-         });
+  submit(std::move(net), std::move(waves), phases, settle(promise), std::move(opts));
   return future;
-}
-
-void serving_session::submit_packed(std::shared_ptr<const mig_network> net,
-                                    std::vector<std::uint64_t> plane_words,
-                                    std::size_t num_waves, unsigned phases,
-                                    submit_options opts, serving_callback on_complete) {
-  request req;
-  req.net = std::move(net);
-  req.plane_words = std::move(plane_words);
-  req.packed_waves = num_waves;
-  req.packed = true;
-  req.phases = phases;
-  req.opts = std::move(opts);
-  req.done = std::move(on_complete);
-  enqueue(std::move(req));
 }
 
 std::future<packed_wave_result> serving_session::submit_packed(
@@ -257,14 +124,8 @@ std::future<packed_wave_result> serving_session::submit_packed(
     std::size_t num_waves, unsigned phases, submit_options opts) {
   auto promise = std::make_shared<std::promise<packed_wave_result>>();
   auto future = promise->get_future();
-  submit_packed(std::move(net), std::move(plane_words), num_waves, phases, std::move(opts),
-                [promise](packed_wave_result result, std::exception_ptr error) {
-                  if (error) {
-                    promise->set_exception(error);
-                  } else {
-                    promise->set_value(std::move(result));
-                  }
-                });
+  submit_packed(std::move(net), std::move(plane_words), num_waves, phases, settle(promise),
+                std::move(opts));
   return future;
 }
 
@@ -485,18 +346,10 @@ void serving_session::process_gulp(std::vector<request> gulp) {
       // Scenario-tagged requests compile through the scenario cache path;
       // the distinct program pointer then keeps them from coalescing with
       // untagged (or differently-tagged) requests against the same network.
-      // A per-request compile override (req.opts.compile) routes through
-      // the options-keyed overloads the same way.
-      const std::uint64_t fp = fingerprint_of(req.net);
-      auto program =
-          req.opts.scenario
-              ? (req.opts.compile
-                     ? session_.compile(*req.net, req.phases, fp, *req.opts.scenario,
-                                        *req.opts.compile)
-                     : session_.compile(*req.net, req.phases, fp, *req.opts.scenario))
-              : (req.opts.compile
-                     ? session_.compile(*req.net, req.phases, fp, *req.opts.compile)
-                     : session_.compile(*req.net, req.phases, fp));
+      // A per-request compile override (req.opts.compile) keys the cache
+      // the same way.
+      auto program = session_.compile(*req.net, req.phases, req.opts.scenario.get(),
+                                      req.opts.compile, fingerprint_of(req.net));
       validate_packed_run(*program, req.waves.num_pis(), req.phases, "serving_session");
       const std::size_t chunks = req.waves.num_chunks();
       ready.push_back({std::move(req), std::move(program), chunks});
@@ -740,11 +593,6 @@ std::size_t serving_session::admission_limit() const {
 void serving_session::set_shed_policy(shed_policy policy) {
   std::lock_guard<std::mutex> lock{mutex_};
   shed_policy_ = policy;
-}
-
-shed_policy serving_session::get_shed_policy() const {
-  std::lock_guard<std::mutex> lock{mutex_};
-  return shed_policy_;
 }
 
 void serving_session::drain() {

@@ -523,9 +523,8 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
   return result;
 }
 
-wave_stream::wave_stream(const compiled_netlist& net, unsigned phases,
-                         std::size_t expected_waves)
-    : net_{net}, phases_{phases}, expected_waves_{expected_waves}, pending_{net.num_pis()} {
+wave_stream::wave_stream(const compiled_netlist& net, unsigned phases)
+    : net_{net}, phases_{phases}, pending_{net.num_pis()} {
   validate_packed_run(net, net.num_pis(), phases, "wave_stream");
   pending_.reserve(block_waves);
 }
@@ -538,49 +537,34 @@ void wave_stream::push(const std::vector<bool>& wave) {
   }
 }
 
-void wave_stream::ensure_direct_capacity(std::size_t needed_chunks) {
-  if (direct_stride_ >= needed_chunks) {
+void wave_stream::ensure_capacity(std::size_t needed_chunks) {
+  if (done_stride_ >= needed_chunks) {
     return;
   }
-  // The hint sizes the first allocation exactly; a stream that outgrows it
-  // re-strides geometrically (the graceful-undershoot fallback).
-  std::size_t new_stride = std::max(needed_chunks, (expected_waves_ + 63) / 64);
-  if (direct_stride_ != 0) {
-    new_stride = std::max(needed_chunks, 2 * direct_stride_);
-  }
+  // Geometric growth: re-striding copies every flushed chunk word, so
+  // doubling keeps the total copy cost linear in the stream length.
+  const std::size_t new_stride = std::max(needed_chunks, 2 * done_stride_);
   std::vector<std::uint64_t> grown(new_stride * net_.num_pos(), 0);
   if (flushed_chunks_ != 0) {
     for (std::size_t p = 0; p < net_.num_pos(); ++p) {
-      std::memcpy(grown.data() + p * new_stride, done_words_.data() + p * direct_stride_,
+      std::memcpy(grown.data() + p * new_stride, done_words_.data() + p * done_stride_,
                   flushed_chunks_ * sizeof(std::uint64_t));
     }
   }
   done_words_.swap(grown);
-  direct_stride_ = new_stride;
+  done_stride_ = new_stride;
 }
 
 void wave_stream::flush_pending() {
+  // Evaluate straight into the full-width result planes at this block's
+  // chunk offset. Flushes are chunk-aligned except possibly the last
+  // (block_waves is a multiple of 64; a partial block only flushes at
+  // finish), so every block owns a whole chunk range of each plane.
   const std::size_t chunks = pending_.num_chunks();
-  std::uint64_t* out;
-  std::size_t out_stride;
-  if (expected_waves_ != 0) {
-    // Direct-write path: evaluate straight into the final full-width result
-    // planes at this block's chunk offset — no finish()-time splice. Flushes
-    // are chunk-aligned except possibly the last (block_waves is a multiple
-    // of 64; a partial block only flushes at finish), so every block owns a
-    // whole chunk range of each plane.
-    ensure_direct_capacity(flushed_chunks_ + chunks);
-    out = done_words_.data() + flushed_chunks_;
-    out_stride = direct_stride_;
-  } else {
-    const std::size_t out_words = chunks * net_.num_pos();
-    done_words_.resize(done_words_.size() + out_words);
-    out = done_words_.data() + done_words_.size() - out_words;
-    out_stride = chunks;
-  }
-  eval_packed_planes(net_, pending_.view(), {out, out_stride, net_.num_pos(), chunks},
+  ensure_capacity(flushed_chunks_ + chunks);
+  eval_packed_planes(net_, pending_.view(),
+                     {done_words_.data() + flushed_chunks_, done_stride_, net_.num_pos(), chunks},
                      scratch_);
-  done_chunks_.push_back(chunks);
   flushed_chunks_ += chunks;
   completed_ += pending_.num_waves();
   pending_.clear();  // keeps the packed-word storage for the next block
@@ -594,40 +578,20 @@ packed_wave_result wave_stream::finish() {
   out.num_pos = net_.num_pos();
   out.num_waves = completed_;
   fill_clock_metrics(out, net_, phases_, completed_);
-  if (expected_waves_ != 0) {
-    // Direct-write path: blocks already landed at their final chunk
-    // offsets. An exact hint hands the buffer over as-is; an overshot hint
-    // compacts each plane down to the result stride first (ascending
-    // planes — the destination never overruns the source).
-    const std::size_t total_chunks = out.num_chunks();
-    if (direct_stride_ > total_chunks) {
-      for (std::size_t p = 0; p < out.num_pos; ++p) {
-        std::memmove(done_words_.data() + p * total_chunks,
-                     done_words_.data() + p * direct_stride_,
-                     total_chunks * sizeof(std::uint64_t));
-      }
-    }
-    done_words_.resize(total_chunks * out.num_pos);
-    out.words = std::move(done_words_);
-  } else if (done_chunks_.size() <= 1) {
-    // Zero or one block: the buffer already has the result's plane stride.
-    out.words = std::move(done_words_);
-  } else {
-    out.words.resize(out.num_chunks() * net_.num_pos());
-    std::size_t chunk_offset = 0;
-    std::size_t word_offset = 0;
-    for (const std::size_t block_chunks : done_chunks_) {
-      detail::splice_block_planes(done_words_.data() + word_offset, block_chunks,
-                                  out.words.data(), out.num_chunks(), chunk_offset,
-                                  net_.num_pos());
-      chunk_offset += block_chunks;
-      word_offset += block_chunks * net_.num_pos();
+  // Compact each plane down to the result stride (ascending planes: the
+  // destination never overruns the source), then hand the buffer over.
+  const std::size_t total_chunks = out.num_chunks();
+  if (done_stride_ > total_chunks) {
+    for (std::size_t p = 1; p < out.num_pos; ++p) {
+      std::memmove(done_words_.data() + p * total_chunks, done_words_.data() + p * done_stride_,
+                   total_chunks * sizeof(std::uint64_t));
     }
   }
+  done_words_.resize(total_chunks * out.num_pos);
+  out.words = std::move(done_words_);
   detail::mask_result_tail(out);
   done_words_ = {};
-  done_chunks_.clear();
-  direct_stride_ = 0;
+  done_stride_ = 0;
   flushed_chunks_ = 0;
   pushed_ = 0;
   completed_ = 0;

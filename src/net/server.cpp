@@ -393,7 +393,7 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
     const std::uint64_t fingerprint = req.fingerprint;
     session_.submit_packed(
         std::move(net), std::move(req.payload), static_cast<std::size_t>(req.num_waves),
-        req.phases, std::move(opts),
+        req.phases,
         [this, conn, id, fingerprint, retire, settled](engine::packed_wave_result result,
                                                        std::exception_ptr error) {
           if (settled && settled->exchange(true, std::memory_order_acq_rel)) {
@@ -426,7 +426,8 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
           }
           count_response(resp.status);
           retire(std::move(resp));
-        });
+        },
+        std::move(opts));
   } catch (const engine::admission_rejected_error& e) {
     if (settled && settled->exchange(true, std::memory_order_acq_rel)) {
       return;  // the watchdog answered first; it already released inflight

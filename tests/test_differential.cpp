@@ -81,7 +81,8 @@ void expect_paths_agree(const diff_case& c, engine::parallel_executor& executor,
   // Path 4 — async serving session (future API, bounded cache, optimizer on).
   engine::serving_session serving{executor, c.options, {.max_entries = 2}, 0,
                                   {.opt_level = 2}};
-  const auto async = serving.submit(net, batch, c.phases).get();
+  const auto async =
+      serving.submit(std::make_shared<const mig_network>(net), batch, c.phases).get();
 
   ASSERT_EQ(packed.unpack(), scalar.outputs) << what << ": packed vs scalar";
   EXPECT_EQ(packed.ticks, scalar.ticks) << what;
@@ -271,8 +272,8 @@ TEST(differential, plane_ingestion_keeps_every_bit_and_drops_stray_ones) {
 /// The zero-copy serving path (pre-transposed plane words adopted without
 /// repacking) against the scalar reference: bit-identical outputs at every
 /// wave count including the tail-chunk corners.
-/// PR-6 referee: the coalesced serving path and both direct-write streams
-/// (hinted wave_stream and hinted parallel_wave_stream) pinned bit-identical
+/// The coalesced serving path and the direct-write wave_stream (blocks
+/// evaluated straight into its growing result planes) pinned bit-identical
 /// to run_waves_packed across the chunk-boundary wave counts.
 TEST(differential, coalesced_serving_and_direct_streams_match_packed) {
   engine::parallel_executor executor{4};
@@ -301,23 +302,14 @@ TEST(differential, coalesced_serving_and_direct_streams_match_packed) {
       EXPECT_EQ(got.ticks, reference.ticks) << what;
     }
 
-    // Hinted (direct-write) single-threaded stream.
-    engine::wave_stream hinted{compiled, 3, num_waves};
+    // Direct-write single-threaded stream.
+    engine::wave_stream stream{compiled, 3};
     for (const auto& wave : waves) {
-      hinted.push(wave);
+      stream.push(wave);
     }
-    const auto streamed = hinted.finish();
+    const auto streamed = stream.finish();
     EXPECT_EQ(streamed.words, reference.words) << what;
     EXPECT_EQ(streamed.ticks, reference.ticks) << what;
-
-    // Hinted (direct-write) parallel stream.
-    engine::parallel_wave_stream parallel_hinted{compiled, 3, executor, num_waves};
-    for (const auto& wave : waves) {
-      parallel_hinted.push(wave);
-    }
-    const auto parallel_streamed = parallel_hinted.finish();
-    EXPECT_EQ(parallel_streamed.words, reference.words) << what;
-    EXPECT_EQ(parallel_streamed.ticks, reference.ticks) << what;
   }
 }
 
@@ -338,7 +330,11 @@ TEST(differential, submit_packed_agrees_with_scalar_run_waves) {
                   planes.begin() + static_cast<std::ptrdiff_t>(i * batch.num_chunks()));
     }
 
-    const auto async = serving.submit_packed(net, std::move(planes), num_waves, 3).get();
+    const auto async =
+        serving
+            .submit_packed(std::make_shared<const mig_network>(net), std::move(planes),
+                           num_waves, 3)
+            .get();
     const auto scalar = run_waves(balanced.net, waves, 3, balanced.schedule);
     ASSERT_EQ(async.unpack(), scalar.outputs) << num_waves << " waves";
     EXPECT_EQ(async.ticks, scalar.ticks) << num_waves << " waves";
@@ -351,7 +347,7 @@ TEST(differential, submit_packed_agrees_with_scalar_run_waves) {
 
   // Malformed plane words surface through the future, like every other
   // validation error of the serving API.
-  const auto net = gen::random_mig({8, 60, 0.5, 6, 99});
+  const auto net = std::make_shared<const mig_network>(gen::random_mig({8, 60, 0.5, 6, 99}));
   auto bad = serving.submit_packed(net, std::vector<std::uint64_t>(3, 0), 100, 3);
   EXPECT_THROW((void)bad.get(), std::invalid_argument);
 }
@@ -391,9 +387,11 @@ TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
       // Path 2 — packed multi-word kernel on the same program.
       const auto packed = engine::run_waves_packed(reference, batch, 3);
       // Path 3 — sharded parallel run through the scenario-tagged cache.
-      const auto parallel = session.run(net, batch, 3, scenario);
-      // Path 4 — async serving with the scenario submit overload.
-      const auto async = serving.submit(shared, batch, 3, scenario).get();
+      const auto parallel = session.run(net, batch, 3, &scenario);
+      // Path 4 — async serving with the scenario in its submit options.
+      engine::submit_options sopts;
+      sopts.scenario = std::make_shared<const tech_scenario>(scenario);
+      const auto async = serving.submit(shared, batch, 3, sopts).get();
 
       ASSERT_EQ(packed.unpack(), scalar.outputs) << what << ": packed vs scalar";
       EXPECT_EQ(parallel.words, packed.words) << what << ": parallel vs packed";

@@ -403,60 +403,29 @@ TEST(packed_waves, unpack_matches_per_bit_output_probe) {
   }
 }
 
-TEST(wave_stream, wave_count_hint_changes_nothing_observable) {
-  const auto balanced = insert_buffers(gen::ripple_adder_circuit(6)).net;
-  const engine::compiled_netlist compiled{balanced};
-  const auto waves = random_waves(300, balanced.num_pis(), 31);
-
-  engine::wave_stream hinted{compiled, 3, waves.size()};
-  engine::wave_stream plain{compiled, 3};
-  for (const auto& wave : waves) {
-    hinted.push(wave);
-    plain.push(wave);
-  }
-  const auto a = hinted.finish();
-  const auto b = plain.finish();
-  EXPECT_EQ(a.words, b.words);
-  EXPECT_EQ(a.num_waves, b.num_waves);
-
-  // The hint survives the reset: a second run through the hinted stream.
-  hinted.push(waves[0]);
-  EXPECT_EQ(hinted.finish().unpack()[0], b.unpack()[0]);
-}
-
-TEST(wave_stream, hint_exact_overshoot_and_undershoot_match_packed) {
+TEST(wave_stream, one_reused_stream_matches_packed_at_every_length) {
   const auto balanced = insert_buffers(gen::multiplier_circuit(4)).net;
   const engine::compiled_netlist compiled{balanced};
   constexpr std::size_t block = engine::wave_stream::block_waves;
-  // Multi-block runs so the direct-write path crosses block boundaries, plus
-  // a partial tail chunk.
-  const auto waves = random_waves(2 * block + 77, balanced.num_pis(), 57);
-  const auto batch = engine::wave_batch::from_waves(waves, balanced.num_pis());
-  const auto reference = engine::run_waves_packed(compiled, batch, 3);
-
-  // Exact hint: finish() hands the direct buffer out without copying.
-  // Overshoot: the over-strided planes are compacted in place at finish().
-  // Undershoot: the stream re-strides mid-run when the hint proves too small.
-  for (const std::size_t hint : {waves.size(), waves.size() * 3, std::size_t{64}}) {
-    engine::wave_stream stream{compiled, 3, hint};
+  // Sub-chunk, chunk-tail, exact-block, block-boundary, multi-block with a
+  // partial tail, and lengths that make the result planes re-stride (grow)
+  // more than once — all through one stream, so each run also checks that
+  // finish() reset the growing planes.
+  engine::wave_stream stream{compiled, 3};
+  for (const std::size_t length :
+       {std::size_t{1}, std::size_t{63}, block, block + 1, 2 * block + 77, 4 * block,
+        5 * block + 3}) {
+    const auto waves = random_waves(length, balanced.num_pis(), 57 + length);
     for (const auto& wave : waves) {
       stream.push(wave);
     }
     const auto result = stream.finish();
-    EXPECT_EQ(result.words, reference.words) << "hint=" << hint;
-    EXPECT_EQ(result.num_waves, reference.num_waves) << "hint=" << hint;
-    EXPECT_EQ(result.ticks, reference.ticks) << "hint=" << hint;
-
-    // The reset stream stays hinted and exact on reuse with a different size.
-    const auto rerun = random_waves(130, balanced.num_pis(), 58);
-    for (const auto& wave : rerun) {
-      stream.push(wave);
-    }
-    const auto rerun_result = stream.finish();
-    const auto rerun_reference = engine::run_waves_packed(
-        compiled, engine::wave_batch::from_waves(rerun, balanced.num_pis()), 3);
-    EXPECT_EQ(rerun_result.words, rerun_reference.words) << "hint=" << hint;
-    EXPECT_EQ(rerun_result.num_waves, rerun_reference.num_waves) << "hint=" << hint;
+    const auto reference = engine::run_waves_packed(
+        compiled, engine::wave_batch::from_waves(waves, balanced.num_pis()), 3);
+    EXPECT_EQ(result.words, reference.words) << "length=" << length;
+    EXPECT_EQ(result.num_waves, reference.num_waves) << "length=" << length;
+    EXPECT_EQ(result.ticks, reference.ticks) << "length=" << length;
+    EXPECT_EQ(stream.waves_pushed(), 0u) << "length=" << length;
   }
 }
 

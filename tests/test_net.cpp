@@ -429,6 +429,13 @@ TEST(wire_refusals, bad_requests_map_to_exact_statuses) {
   EXPECT_EQ(client.run(make_run(fp, *net, 0, 3, {})).status,
             net::wire_status::invalid_request);
 
+  // Zero phases: refused before the program cache is touched, so a client
+  // cannot make the server compile (or evict) anything with it.
+  const auto misses_before = stack.serving.stats().misses;
+  EXPECT_EQ(client.run(make_run(fp, *net, 64, 0, random_planes(net->num_pis(), 64, 3))).status,
+            net::wire_status::invalid_request);
+  EXPECT_EQ(stack.serving.stats().misses, misses_before);
+
   // Word count inconsistent with the declared wave count.
   EXPECT_EQ(client.run(make_run(fp, *net, 64, 3, std::vector<std::uint64_t>(3, 0))).status,
             net::wire_status::invalid_request);
@@ -443,7 +450,7 @@ TEST(wire_refusals, bad_requests_map_to_exact_statuses) {
   // The connection survives every refusal: a healthy request still runs.
   EXPECT_EQ(client.run(make_run(fp, *net, 64, 3, random_planes(net->num_pis(), 64, 2))).status,
             net::wire_status::ok);
-  EXPECT_GE(stack.server.stats().requests_refused, 4u);
+  EXPECT_GE(stack.server.stats().requests_refused, 5u);
 }
 
 TEST(wire_refusals, stray_tail_bits_reject_unless_masking_is_requested) {
@@ -633,7 +640,7 @@ TEST(wire_policies, admission_bound_rejects_with_the_exact_status) {
   ASSERT_EQ(client.run(make_run(fp, *net, 64, 3, warm)).status, net::wire_status::ok);
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack.executor.submit([released](unsigned) { released.wait(); });
+  stack.executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
 
   auto held = stack.serving.submit_packed(net, warm, 64, 3);
   stack.serving.set_admission_limit(1);  // backlog is already 1
@@ -664,7 +671,7 @@ TEST(wire_policies, deadlines_expire_in_the_queue_with_the_exact_status) {
   // time and waiting for its gulp keeps the accounting deterministic.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack.executor.submit([released](unsigned) { released.wait(); });
+  stack.executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t gulps_before = stack.serving.metrics().gulps;
   std::vector<std::future<engine::packed_wave_result>> blockers;
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -709,7 +716,7 @@ TEST(wire_policies, draining_refuses_new_work_while_accepted_work_flushes) {
   // the drain begins: its response must flow, the next request must not.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack.executor.submit([released](unsigned) { released.wait(); });
+  stack.executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t accepted_id = client.send(make_run(fp, *net, 64, 3, words));
   while (stack.serving.pending() == 0) {
     std::this_thread::yield();  // accepted before the drain begins, not raced
@@ -740,7 +747,7 @@ TEST(wire_policies, shutdown_flushes_inflight_responses_before_closing) {
 
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  stack->executor.submit([released](unsigned) { released.wait(); });
+  stack->executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t id = client.send(make_run(fp, *net, 64, 3, words));
   while (stack->serving.pending() == 0) {
     std::this_thread::yield();  // the request must be accepted pre-shutdown

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -237,7 +238,8 @@ TEST(optimizer, opt_levels_are_bit_identical_across_all_execution_paths) {
       EXPECT_EQ(parallel.words, reference.words) << "parallel, level " << level;
 
       engine::serving_session serving{executor, {}, {}, 0, copts};
-      const auto async = serving.submit(net, batch, phases).get();
+      const auto async =
+          serving.submit(std::make_shared<const mig_network>(net), batch, phases).get();
       EXPECT_EQ(async.words, reference.words) << "async, level " << level;
 
       // Scalar cycle-accurate path: the tick program is never optimized,
@@ -332,8 +334,8 @@ TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
   const auto net = gen::random_mig({12, 200, 0.5, 8, 99});
   const std::uint64_t fp = engine::network_fingerprint(net);
 
-  const auto raw = session.compile(net, 3, fp, compile_options{.opt_level = 0});
-  const auto opt = session.compile(net, 3, fp, compile_options{.opt_level = 2});
+  const auto raw = session.compile(net, 3, nullptr, compile_options{.opt_level = 0}, fp);
+  const auto opt = session.compile(net, 3, nullptr, compile_options{.opt_level = 2}, fp);
   // Distinct entries, distinct programs — an opt level can never be served
   // a program compiled at another.
   EXPECT_EQ(session.stats().entries, 2u);
@@ -342,8 +344,10 @@ TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
   EXPECT_EQ(opt->options().opt_level, 2u);
 
   // Re-requesting either level hits its own entry, never the other's.
-  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 0}).get(), raw.get());
-  EXPECT_EQ(session.compile(net, 3, fp, compile_options{.opt_level = 2}).get(), opt.get());
+  EXPECT_EQ(session.compile(net, 3, nullptr, compile_options{.opt_level = 0}, fp).get(),
+            raw.get());
+  EXPECT_EQ(session.compile(net, 3, nullptr, compile_options{.opt_level = 2}, fp).get(),
+            opt.get());
   EXPECT_EQ(session.stats().entries, 2u);
 
   // Same function either way; the session sums both resident programs.

@@ -233,86 +233,6 @@ TEST(parallel_executor, concurrent_groups_from_many_threads_all_complete) {
   EXPECT_EQ(total.load(), submitters * groups_each * tasks_per_group);
 }
 
-TEST(parallel_stream, matches_packed_and_is_reusable) {
-  const auto balanced = insert_buffers(gen::multiplier_circuit(4)).net;
-  const engine::compiled_netlist compiled{balanced};
-  engine::parallel_executor executor{4};
-  const auto waves = random_waves(333, balanced.num_pis(), 99);  // 5 chunks + remainder
-  const auto batch = engine::wave_batch::from_waves(waves, balanced.num_pis());
-  const auto reference = engine::run_waves_packed(compiled, batch, 3);
-
-  engine::parallel_wave_stream stream{compiled, 3, executor};
-  for (const auto& wave : waves) {
-    stream.push(wave);
-    EXPECT_LE(stream.waves_completed(), stream.waves_pushed());
-  }
-  EXPECT_EQ(stream.waves_pushed(), waves.size());
-  expect_bit_identical(stream.finish(), reference, "first use");
-
-  // The stream resets on finish: counters back to zero, second run exact.
-  EXPECT_EQ(stream.waves_pushed(), 0u);
-  EXPECT_EQ(stream.waves_completed(), 0u);
-  for (const auto& wave : waves) {
-    stream.push(wave);
-  }
-  expect_bit_identical(stream.finish(), reference, "reuse after finish");
-}
-
-TEST(parallel_stream, validates_like_the_packed_path) {
-  const engine::compiled_netlist incoherent{gen::ripple_adder_circuit(5)};
-  engine::parallel_executor executor{2};
-  EXPECT_THROW((engine::parallel_wave_stream{incoherent, 3, executor}),
-               std::invalid_argument);
-
-  const auto balanced = insert_buffers(gen::ripple_adder_circuit(5)).net;
-  const engine::compiled_netlist compiled{balanced};
-  EXPECT_THROW((engine::parallel_wave_stream{compiled, 0, executor}), std::invalid_argument);
-  engine::parallel_wave_stream stream{compiled, 3, executor};
-  EXPECT_THROW(stream.push({true}), std::invalid_argument);
-  const auto empty = stream.finish();
-  EXPECT_EQ(empty.num_waves, 0u);
-  EXPECT_EQ(empty.ticks, 0u);
-}
-
-TEST(parallel_stream, wave_count_hint_is_bit_identical_exact_over_and_under) {
-  const auto balanced = insert_buffers(gen::multiplier_circuit(4)).net;
-  const engine::compiled_netlist compiled{balanced};
-  engine::parallel_executor executor{4};
-  const auto waves = random_waves(333, balanced.num_pis(), 123);
-  const auto batch = engine::wave_batch::from_waves(waves, balanced.num_pis());
-  const auto reference = engine::run_waves_packed(compiled, batch, 3);
-
-  // Exact hint (direct write, zero-copy finish), overshoot (finish
-  // compacts the over-strided planes) and undershoot (mid-run re-stride)
-  // must all be observationally identical to the unhinted splice path.
-  for (const std::size_t hint : {waves.size(), waves.size() * 4, std::size_t{1}}) {
-    engine::parallel_wave_stream stream{compiled, 3, executor, hint};
-    for (const auto& wave : waves) {
-      stream.push(wave);
-    }
-    expect_bit_identical(stream.finish(), reference, "hint=" + std::to_string(hint));
-  }
-}
-
-TEST(parallel_stream, hinted_stream_resets_and_is_reusable) {
-  const auto balanced = insert_buffers(gen::ripple_adder_circuit(6)).net;
-  const engine::compiled_netlist compiled{balanced};
-  engine::parallel_executor executor{2};
-
-  engine::parallel_wave_stream stream{compiled, 3, executor, 640};
-  for (const std::size_t num_waves : {640ull, 65ull, 1000ull}) {
-    const auto waves = random_waves(num_waves, balanced.num_pis(), 777 + num_waves);
-    const auto batch = engine::wave_batch::from_waves(waves, balanced.num_pis());
-    const auto reference = engine::run_waves_packed(compiled, batch, 3);
-    for (const auto& wave : waves) {
-      stream.push(wave);
-    }
-    expect_bit_identical(stream.finish(), reference,
-                         "hinted reuse waves=" + std::to_string(num_waves));
-    EXPECT_EQ(stream.waves_pushed(), 0u);
-  }
-}
-
 TEST(batch_session, caches_compiled_netlists_per_network_and_phases) {
   engine::parallel_executor executor{2};
   engine::batch_session session{executor};
@@ -325,20 +245,20 @@ TEST(batch_session, caches_compiled_netlists_per_network_and_phases) {
   const auto mult_batch = engine::wave_batch::from_waves(mult_waves, mult.num_pis());
 
   const auto first = session.run(adder, adder_batch, 3);
-  EXPECT_EQ(session.cache_misses(), 1u);
-  EXPECT_EQ(session.cache_hits(), 0u);
+  EXPECT_EQ(session.stats().misses, 1u);
+  EXPECT_EQ(session.stats().hits, 0u);
 
   // Interleave a different circuit, then come back: no re-lowering.
   const auto other = session.run(mult, mult_batch, 3);
   const auto again = session.run(adder, adder_batch, 3);
-  EXPECT_EQ(session.cache_misses(), 2u);
-  EXPECT_EQ(session.cache_hits(), 1u);
-  EXPECT_EQ(session.cached_netlists(), 2u);
+  EXPECT_EQ(session.stats().misses, 2u);
+  EXPECT_EQ(session.stats().hits, 1u);
+  EXPECT_EQ(session.stats().entries, 2u);
   expect_bit_identical(again, first, "cached re-run");
 
   // A different phase count is a separate program key.
   (void)session.run(adder, adder_batch, 4);
-  EXPECT_EQ(session.cache_misses(), 3u);
+  EXPECT_EQ(session.stats().misses, 3u);
 
   // Results equal the packed path on the session-balanced network.
   const auto balanced = insert_buffers(adder);
@@ -385,9 +305,9 @@ TEST(batch_session, concurrent_sessions_share_one_executor) {
   a.join();
   b.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(session.cached_netlists(), 2u);
-  EXPECT_EQ(session.cache_hits() + session.cache_misses(),
-            static_cast<std::uint64_t>(2 * rounds));
+  const auto stats = session.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(2 * rounds));
 }
 
 TEST(network_fingerprint, distinguishes_structure_not_names) {

@@ -380,10 +380,13 @@ TEST(scenario_cache, same_netlist_different_scenarios_are_distinct_programs) {
   engine::batch_session session{executor};
   const auto net = gen::ripple_adder_circuit(6);
 
+  const auto swd_scenario = tech_scenario::swd();
+  const auto qca_scenario = tech_scenario::qca();
+  const auto fdm_scenario = tech_scenario::fdm_swd();
   const auto untagged = session.compile(net, 3);
-  const auto swd = session.compile(net, 3, tech_scenario::swd());
-  const auto qca = session.compile(net, 3, tech_scenario::qca());
-  const auto fdm = session.compile(net, 3, tech_scenario::fdm_swd());
+  const auto swd = session.compile(net, 3, &swd_scenario);
+  const auto qca = session.compile(net, 3, &qca_scenario);
+  const auto fdm = session.compile(net, 3, &fdm_scenario);
 
   EXPECT_NE(untagged.get(), swd.get());
   EXPECT_NE(swd.get(), qca.get());
@@ -392,7 +395,7 @@ TEST(scenario_cache, same_netlist_different_scenarios_are_distinct_programs) {
   EXPECT_EQ(session.stats().misses, 4u);
 
   // Resubmission under the same scenario is a cache hit on the same program.
-  EXPECT_EQ(session.compile(net, 3, tech_scenario::qca()).get(), qca.get());
+  EXPECT_EQ(session.compile(net, 3, &qca_scenario).get(), qca.get());
   EXPECT_EQ(session.stats().hits, 1u);
   EXPECT_EQ(session.stats().entries, 4u);
 
@@ -422,7 +425,7 @@ TEST(scenario_cache, scenario_runs_are_bit_identical_to_their_prepared_reference
     opts.scenario = scenario;
     const engine::compiled_netlist reference{wave_pipeline(net, opts).net};
     const auto expected = engine::run_waves_packed(reference, batch, 3);
-    const auto got = session.run(net, batch, 3, scenario);
+    const auto got = session.run(net, batch, 3, &scenario);
     EXPECT_EQ(got.words, expected.words) << name;
   }
 }

@@ -13,9 +13,12 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "wavemig/buffer_insertion.hpp"
@@ -92,6 +95,28 @@ TEST(cache_eviction, entry_bound_evicts_least_recently_used) {
   EXPECT_EQ(session.stats().misses, after_c.misses + 1);
 }
 
+TEST(cache_eviction, zero_phase_request_leaves_the_hot_entry_resident) {
+  engine::parallel_executor executor{2};
+  engine::batch_session session{executor, {}, {.max_entries = 1}};
+  const auto hot = gen::ripple_adder_circuit(4);
+  const auto other = gen::multiplier_circuit(3);
+  (void)session.run(hot, batch_for(hot, 70, 11), 3);
+  const auto before = session.stats();
+
+  // A malformed request against another circuit is refused before the
+  // lookup: no miss, no compile, and above all no eviction of `hot`.
+  EXPECT_THROW((void)session.run(other, batch_for(other, 70, 12), 0), std::invalid_argument);
+  EXPECT_THROW((void)session.compile(other, 0), std::invalid_argument);
+  const auto after = session.stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.entries, 1u);
+
+  (void)session.run(hot, batch_for(hot, 70, 13), 3);
+  EXPECT_EQ(session.stats().hits, before.hits + 1);
+}
+
 TEST(cache_eviction, byte_bound_is_a_hard_ceiling) {
   const auto a = gen::ripple_adder_circuit(4);
   const auto b = gen::multiplier_circuit(3);
@@ -165,8 +190,7 @@ TEST(cache_eviction, stats_counters_are_consistent) {
       ++runs;
       const auto stats = session.stats();
       EXPECT_EQ(stats.hits + stats.misses, runs);
-      EXPECT_EQ(stats.entries, session.cached_netlists());
-      EXPECT_LE(stats.entries, 2u);
+      EXPECT_EQ(stats.entries, std::min<std::uint64_t>(runs, 2));
     }
   }
   // Round-robin over 3 circuits with room for 2 thrashes forever.
@@ -195,18 +219,18 @@ TEST(serving_session, futures_are_bit_identical_to_packed) {
   engine::parallel_executor executor{4};
   engine::serving_session serving{executor};
 
-  const auto net = gen::multiplier_circuit(4);
+  const auto net = std::make_shared<const mig_network>(gen::multiplier_circuit(4));
   std::vector<engine::wave_batch> batches;
   std::vector<std::future<engine::packed_wave_result>> futures;
   for (int i = 0; i < 6; ++i) {
-    batches.push_back(batch_for(net, 100 + 17 * i, 100 + i));
+    batches.push_back(batch_for(*net, 100 + 17 * i, 100 + i));
   }
   for (const auto& batch : batches) {
     futures.push_back(serving.submit(net, batch, 3));
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const auto got = futures[i].get();
-    const auto want = packed_reference(net, batches[i], 3);
+    const auto want = packed_reference(*net, batches[i], 3);
     EXPECT_EQ(got.words, want.words) << "request " << i;
     EXPECT_EQ(got.num_waves, want.num_waves) << "request " << i;
     EXPECT_EQ(got.ticks, want.ticks) << "request " << i;
@@ -225,9 +249,9 @@ TEST(serving_session, callback_variant_completes_with_result) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
 
-  const auto net = gen::ripple_adder_circuit(5);
-  const auto batch = batch_for(net, 130, 77);
-  const auto want = packed_reference(net, batch, 3);
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(5));
+  const auto batch = batch_for(*net, 130, 77);
+  const auto want = packed_reference(*net, batch, 3);
 
   std::promise<engine::packed_wave_result> delivered;
   serving.submit(net, batch, 3,
@@ -241,15 +265,23 @@ TEST(serving_session, callback_variant_completes_with_result) {
 TEST(serving_session, errors_surface_through_future_and_callback) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
-  const auto net = gen::ripple_adder_circuit(4);
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(4));
 
-  // phases == 0 is rejected by the packed-path validation on the dispatcher.
-  auto bad_phases = serving.submit(net, batch_for(net, 10, 1), 0);
+  // phases == 0 is rejected on the dispatcher before the cache is touched:
+  // nothing compiles, nothing is counted, nothing becomes resident — for
+  // the batch and the packed payload alike.
+  auto bad_phases = serving.submit(net, batch_for(*net, 10, 1), 0);
   EXPECT_THROW(bad_phases.get(), std::invalid_argument);
+  auto bad_packed_phases =
+      serving.submit_packed(net, std::vector<std::uint64_t>(net->num_pis(), 0), 1, 0);
+  EXPECT_THROW(bad_packed_phases.get(), std::invalid_argument);
+  EXPECT_EQ(serving.stats().misses, 0u);
+  EXPECT_EQ(serving.stats().hits, 0u);
+  EXPECT_EQ(serving.stats().entries, 0u);
 
   // PI-count mismatch reaches the callback as an exception_ptr.
   std::promise<std::exception_ptr> seen;
-  serving.submit(net, engine::wave_batch{net.num_pis() + 3}, 3,
+  serving.submit(net, engine::wave_batch{net->num_pis() + 3}, 3,
                  [&](engine::packed_wave_result, std::exception_ptr error) {
                    seen.set_value(error);
                  });
@@ -258,7 +290,7 @@ TEST(serving_session, errors_surface_through_future_and_callback) {
   EXPECT_THROW(std::rethrow_exception(error), std::invalid_argument);
 
   // A failed request does not poison the session.
-  EXPECT_EQ(serving.submit(net, batch_for(net, 64, 2), 3).get().num_waves, 64u);
+  EXPECT_EQ(serving.submit(net, batch_for(*net, 64, 2), 3).get().num_waves, 64u);
 }
 
 TEST(serving_session, drain_close_and_submit_after_close) {
@@ -266,10 +298,10 @@ TEST(serving_session, drain_close_and_submit_after_close) {
   engine::serving_session serving{executor, {}, {}, 2};
   EXPECT_EQ(serving.num_dispatchers(), 2u);
 
-  const auto net = gen::parity_circuit(10);
+  const auto net = std::make_shared<const mig_network>(gen::parity_circuit(10));
   std::vector<std::future<engine::packed_wave_result>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(serving.submit(net, batch_for(net, 200, i), 3));
+    futures.push_back(serving.submit(net, batch_for(*net, 200, i), 3));
   }
   serving.drain();
   EXPECT_EQ(serving.pending(), 0u);
@@ -281,14 +313,14 @@ TEST(serving_session, drain_close_and_submit_after_close) {
   serving.close();
   serving.close();  // idempotent
   EXPECT_EQ(serving.num_dispatchers(), 0u);
-  EXPECT_THROW((void)serving.submit(net, batch_for(net, 10, 1), 3), std::runtime_error);
+  EXPECT_THROW((void)serving.submit(net, batch_for(*net, 10, 1), 3), std::runtime_error);
 }
 
 TEST(serving_session, callbacks_may_submit_follow_up_requests) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
-  const auto net = gen::ripple_adder_circuit(4);
-  const auto batch = batch_for(net, 64, 31);
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(4));
+  const auto batch = batch_for(*net, 64, 31);
 
   std::promise<std::size_t> chained_waves;
   serving.submit(net, batch, 3,
@@ -313,7 +345,7 @@ TEST(serving_session, eviction_races_in_flight_requests) {
   engine::serving_session serving{executor, {}, {.max_entries = 1}, 2};
 
   struct workload {
-    mig_network net;
+    std::shared_ptr<const mig_network> net;
     engine::wave_batch batch;
     std::vector<std::uint64_t> want;
   };
@@ -322,7 +354,8 @@ TEST(serving_session, eviction_races_in_flight_requests) {
                           gen::parity_circuit(9)}) {
     auto batch = batch_for(net, 150, net.num_pis());
     auto want = packed_reference(net, batch, 3).words;
-    workloads.push_back({net, std::move(batch), std::move(want)});
+    workloads.push_back(
+        {std::make_shared<const mig_network>(net), std::move(batch), std::move(want)});
   }
 
   constexpr int per_thread = 9;
@@ -371,7 +404,7 @@ TEST(serving_coalescing, many_small_same_program_requests_fuse_and_stay_exact) {
 
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  executor.submit([released](unsigned) { released.wait(); });
+  executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
 
   constexpr int burst = 24;
   std::vector<engine::wave_batch> batches;
@@ -470,36 +503,74 @@ TEST(serving_coalescing, a_bad_request_fails_alone_inside_a_gulp) {
   EXPECT_EQ(serving.metrics().requests_completed, 5u);
 }
 
+/// The four entry points — batch and packed payloads, each as a future and
+/// as a callback — under three option sets. Every entry keys the cache the
+/// same way for the same options, so the twelve requests resolve to exactly
+/// three programs; the default set omits the trailing `opts`, so it pins
+/// the defaulted argument itself. One dispatcher makes the counts exact,
+/// and the session's default opt level 2 keeps the opt-0 override a
+/// distinct program.
 TEST(serving_coalescing, shared_ptr_submit_skips_the_deep_copy) {
   engine::parallel_executor executor{2};
-  engine::serving_session serving{executor};
+  engine::serving_session serving{executor, {}, {}, 1, {.opt_level = 2}};
 
   const auto net = std::make_shared<const mig_network>(gen::multiplier_circuit(3));
   const auto batch = batch_for(*net, 120, 55);
   const auto want = packed_reference(*net, batch, 3);
-
-  // Future and callback shared_ptr overloads, plus the packed variant.
-  EXPECT_EQ(serving.submit(net, batch, 3).get().words, want.words);
-  std::promise<engine::packed_wave_result> delivered;
-  serving.submit(net, batch, 3,
-                 [&](engine::packed_wave_result result, std::exception_ptr error) {
-                   ASSERT_EQ(error, nullptr);
-                   delivered.set_value(std::move(result));
-                 });
-  EXPECT_EQ(delivered.get_future().get().words, want.words);
-
-  const auto packed_batch = batch_for(*net, 90, 56);
-  std::vector<std::uint64_t> planes(packed_batch.num_chunks() * net->num_pis());
+  std::vector<std::uint64_t> planes(batch.num_chunks() * net->num_pis());
   for (std::size_t i = 0; i < net->num_pis(); ++i) {
-    std::copy_n(packed_batch.plane(i), packed_batch.num_chunks(),
-                planes.begin() + static_cast<std::ptrdiff_t>(i * packed_batch.num_chunks()));
+    std::copy_n(batch.plane(i), batch.num_chunks(),
+                planes.begin() + static_cast<std::ptrdiff_t>(i * batch.num_chunks()));
   }
-  EXPECT_EQ(
-      serving.submit_packed(net, std::move(planes), packed_batch.num_waves(), 3).get().words,
-      packed_reference(*net, packed_batch, 3).words);
+
+  engine::submit_options swd;
+  swd.scenario = std::make_shared<const tech_scenario>(tech_scenario::swd());
+  engine::submit_options unoptimized;
+  unoptimized.compile = engine::compile_options{.opt_level = 0};
+  const std::vector<std::pair<std::string, std::optional<engine::submit_options>>> option_sets{
+      {"default", std::nullopt}, {"swd", swd}, {"opt 0", unoptimized}};
+
+  const auto settle = [](std::promise<engine::packed_wave_result>& promise) {
+    return [&promise](engine::packed_wave_result result, std::exception_ptr error) {
+      if (error) {
+        promise.set_exception(error);
+      } else {
+        promise.set_value(std::move(result));
+      }
+    };
+  };
+  const std::size_t waves = batch.num_waves();
+  for (const auto& [name, opts] : option_sets) {
+    std::future<engine::packed_wave_result> batch_future;
+    std::future<engine::packed_wave_result> packed_future;
+    std::promise<engine::packed_wave_result> batch_done;
+    std::promise<engine::packed_wave_result> packed_done;
+    if (opts) {
+      batch_future = serving.submit(net, batch, 3, *opts);
+      packed_future = serving.submit_packed(net, planes, waves, 3, *opts);
+      serving.submit(net, batch, 3, settle(batch_done), *opts);
+      serving.submit_packed(net, planes, waves, 3, settle(packed_done), *opts);
+    } else {
+      batch_future = serving.submit(net, batch, 3);
+      packed_future = serving.submit_packed(net, planes, waves, 3);
+      serving.submit(net, batch, 3, settle(batch_done));
+      serving.submit_packed(net, planes, waves, 3, settle(packed_done));
+    }
+    const std::pair<const char*, engine::packed_wave_result> results[] = {
+        {"batch future", batch_future.get()},
+        {"packed future", packed_future.get()},
+        {"batch callback", batch_done.get_future().get()},
+        {"packed callback", packed_done.get_future().get()}};
+    for (const auto& [entry, got] : results) {
+      EXPECT_EQ(got.words, want.words) << entry << ", " << name;
+      EXPECT_EQ(got.num_waves, want.num_waves) << entry << ", " << name;
+    }
+  }
   serving.drain();
-  EXPECT_EQ(serving.stats().hits + serving.stats().misses, 3u);
-  EXPECT_EQ(serving.stats().entries, 1u);
+  const auto stats = serving.stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.hits, 9u);
 }
 
 TEST(serving_coalescing, queue_wait_samples_are_recorded_and_taken) {
@@ -519,7 +590,7 @@ TEST(serving_coalescing, queue_wait_samples_are_recorded_and_taken) {
   EXPECT_TRUE(serving.take_queue_wait_samples().empty());
 }
 
-/// The TSan target of the executor work: concurrent hinted parallel streams
+/// The TSan target of the executor work: concurrent blocking sharded runs
 /// and coalesced serving submissions sharing one work-stealing pool, so
 /// steals, group completions, and dispatcher gulps all interleave.
 TEST(serving_coalescing, streams_and_serving_share_the_stealing_pool) {
@@ -531,16 +602,11 @@ TEST(serving_coalescing, streams_and_serving_share_the_stealing_pool) {
   const engine::compiled_netlist compiled{balanced.net, balanced.schedule};
 
   std::atomic<int> failures{0};
-  const auto stream_thread = [&](std::uint64_t seed) {
-    const auto waves = random_waves(700, net->num_pis(), seed);
-    const auto want = engine::run_waves_packed(
-        compiled, engine::wave_batch::from_waves(waves, net->num_pis()), 3);
-    engine::parallel_wave_stream stream{compiled, 3, executor, waves.size()};
+  const auto parallel_thread = [&](std::uint64_t seed) {
+    const auto batch = batch_for(*net, 700, seed);
+    const auto want = engine::run_waves_packed(compiled, batch, 3);
     for (int round = 0; round < 3; ++round) {
-      for (const auto& wave : waves) {
-        stream.push(wave);
-      }
-      if (stream.finish().words != want.words) {
+      if (engine::run_waves_parallel(compiled, batch, 3, executor).words != want.words) {
         failures.fetch_add(1);
       }
     }
@@ -560,8 +626,8 @@ TEST(serving_coalescing, streams_and_serving_share_the_stealing_pool) {
   };
 
   std::vector<std::thread> threads;
-  threads.emplace_back(stream_thread, 8801);
-  threads.emplace_back(stream_thread, 8802);
+  threads.emplace_back(parallel_thread, 8801);
+  threads.emplace_back(parallel_thread, 8802);
   threads.emplace_back(serving_thread, 8900);
   threads.emplace_back(serving_thread, 9000);
   for (auto& t : threads) {
@@ -588,12 +654,16 @@ TEST(serving_scenarios, same_netlist_per_scenario_programs_stay_separate) {
   const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(6));
   const auto batch = batch_for(*net, 100, 17);
   const auto reference = packed_reference(*net, batch, 3);
+  engine::submit_options swd;
+  swd.scenario = std::make_shared<const tech_scenario>(tech_scenario::swd());
+  engine::submit_options fdm_swd;
+  fdm_swd.scenario = std::make_shared<const tech_scenario>(tech_scenario::fdm_swd());
 
   std::vector<std::future<engine::packed_wave_result>> futures;
   for (int round = 0; round < 3; ++round) {
     futures.push_back(serving.submit(net, batch, 3));
-    futures.push_back(serving.submit(net, batch, 3, tech_scenario::swd()));
-    futures.push_back(serving.submit(net, batch, 3, tech_scenario::fdm_swd()));
+    futures.push_back(serving.submit(net, batch, 3, swd));
+    futures.push_back(serving.submit(net, batch, 3, fdm_swd));
   }
   for (auto& future : futures) {
     EXPECT_EQ(future.get().words, reference.words);
@@ -623,10 +693,9 @@ TEST(serving_scenarios, packed_scenario_submission_matches_the_reference) {
                 planes.begin() + static_cast<std::ptrdiff_t>(i * batch.num_chunks()));
   }
 
-  const auto got =
-      serving.submit_packed(net, std::move(planes), batch.num_waves(), 3,
-                            tech_scenario::nml())
-          .get();
+  engine::submit_options nml;
+  nml.scenario = std::make_shared<const tech_scenario>(tech_scenario::nml());
+  const auto got = serving.submit_packed(net, std::move(planes), batch.num_waves(), 3, nml).get();
   EXPECT_EQ(got.words, reference.words);
   EXPECT_EQ(got.num_waves, reference.num_waves);
 }
@@ -647,7 +716,7 @@ TEST(serving_policies, typed_errors_carry_their_class) {
   // Admission: park the worker so one request pins the backlog at 1.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  executor.submit([released](unsigned) { released.wait(); });
+  executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   auto held = serving.submit(net, batch_for(*net, 64, 2), 3);
   serving.set_admission_limit(1);
   EXPECT_EQ(serving.admission_limit(), 1u);
@@ -697,7 +766,7 @@ TEST(serving_policies, expired_deadlines_fail_typed_without_executing) {
 std::vector<std::future<engine::packed_wave_result>> wedge_dispatcher(
     engine::serving_session& serving, engine::parallel_executor& executor,
     const std::shared_ptr<const mig_network>& net, std::shared_future<void> released) {
-  executor.submit([released](unsigned) { released.wait(); });
+  executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
   const std::uint64_t gulps_before = serving.metrics().gulps;
   std::vector<std::future<engine::packed_wave_result>> blockers;
   for (std::uint64_t i = 1; i <= 5; ++i) {
@@ -733,7 +802,7 @@ TEST(serving_policies, priority_orders_the_gulp) {
   const auto submit_with_priority = [&](int tag, std::uint8_t priority) {
     engine::submit_options opts;
     opts.priority = priority;
-    serving.submit(net, batch_for(*net, 40 + tag, 100 + tag), 3, opts, record(tag));
+    serving.submit(net, batch_for(*net, 40 + tag, 100 + tag), 3, record(tag), opts);
   };
   submit_with_priority(0, 200);
   submit_with_priority(1, 10);
@@ -767,12 +836,14 @@ TEST(serving_policies, clients_round_robin_within_a_priority_class) {
   const auto submit_for_client = [&](int tag, std::uint64_t client) {
     engine::submit_options opts;
     opts.client_id = client;
-    serving.submit(net, batch_for(*net, 40 + tag, 200 + tag), 3, opts,
-                   [&, tag](engine::packed_wave_result, std::exception_ptr error) {
-                     ASSERT_EQ(error, nullptr);
-                     std::lock_guard<std::mutex> lock{order_mutex};
-                     order.push_back(tag);
-                   });
+    serving.submit(
+        net, batch_for(*net, 40 + tag, 200 + tag), 3,
+        [&, tag](engine::packed_wave_result, std::exception_ptr error) {
+          ASSERT_EQ(error, nullptr);
+          std::lock_guard<std::mutex> lock{order_mutex};
+          order.push_back(tag);
+        },
+        opts);
   };
   // Client 1 floods three requests before client 2's lone request arrives.
   submit_for_client(0, 1);
@@ -845,8 +916,8 @@ TEST(serving_shutdown, close_races_resubmitting_callbacks_from_fused_passes) {
 
     std::promise<void> release;
     std::shared_future<void> released = release.get_future().share();
-    executor.submit([released](unsigned) { released.wait(); });
-    executor.submit([released](unsigned) { released.wait(); });
+    executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
+    executor.submit_group(1, [released](std::size_t, unsigned) { released.wait(); });
 
     constexpr int burst = 16;
     std::atomic<int> primaries{0};
