@@ -14,9 +14,11 @@
 //                 and hardware-concurrency threads).
 //   serving async — serving_session: the async submission front-end
 //                 (futures over a multi-producer queue, compiled-netlist
-//                 cache), measured at steady state, plus a cache-churn
-//                 sweep that hammers a byte-bounded cache with a rotating
-//                 circuit mix and verifies the bound is never exceeded.
+//                 cache), measured at steady state over the same 16-batch
+//                 windows as the parallel rows (best of three each), plus a
+//                 cache-churn sweep that hammers a byte-bounded cache with a
+//                 rotating circuit mix and verifies the bound is never
+//                 exceeded.
 //
 //   $ ./bench/perf_wave_engine [--json] [num_waves]
 
@@ -206,9 +208,8 @@ kernel_sweep_result kernel_sweep(const mig_network& balanced_net, const level_ma
     }
   };
   const auto plane_pass = [&](const engine::compiled_netlist& net) {
-    engine::eval_packed_planes(net, batch.view(),
-                               {plane_out.data(), num_chunks, num_pos, num_chunks},
-                               scratch);
+    net.eval_planes_block(batch.view().planes, batch.view().plane_stride, plane_out.data(),
+                          num_chunks, num_chunks, scratch);
   };
 
   single_word_pass(opt0);
@@ -365,15 +366,41 @@ int main(int argc, char** argv) {
       thread_counts.end()) {
     thread_counts.push_back(hw_threads);
   }
+  // The parallel rows and the serving row below time the same work: one
+  // window is 16 runs of the sweep batch (a single 8,192-wave run lasts
+  // about 70 us, too short to time against scheduler noise), and each row
+  // keeps the best of three windows. Results are compared against the
+  // reference after each window's clock stops.
+  constexpr std::size_t batches_per_window = 16;
+  constexpr int windows = 3;
+  const auto best_window = [&](auto&& window) {
+    double best = 0.0;
+    for (int w = 0; w < windows; ++w) {
+      best = std::max(best, window());
+    }
+    return best;
+  };
+  const double waves_per_window = static_cast<double>(batches_per_window * sweep_waves);
   std::vector<double> parallel_wps(thread_counts.size(), 0.0);
   for (std::size_t i = 0; i < thread_counts.size(); ++i) {
     engine::parallel_executor executor{thread_counts[i]};
     // Warm-up run: spin up workers' scratch before timing.
     (void)engine::run_waves_parallel(compiled, sweep_batch, phases, executor);
-    start = std::chrono::steady_clock::now();
-    const auto run = engine::run_waves_parallel(compiled, sweep_batch, phases, executor);
-    parallel_wps[i] = static_cast<double>(sweep_waves) / seconds_since(start);
-    if (run.words != sweep_reference.words) {
+    bool diverged = false;
+    parallel_wps[i] = best_window([&] {
+      std::vector<engine::packed_wave_result> runs;
+      runs.reserve(batches_per_window);
+      const auto window_start = std::chrono::steady_clock::now();
+      for (std::size_t b = 0; b < batches_per_window; ++b) {
+        runs.push_back(engine::run_waves_parallel(compiled, sweep_batch, phases, executor));
+      }
+      const double wps = waves_per_window / seconds_since(window_start);
+      for (const auto& run : runs) {
+        diverged = diverged || run.words != sweep_reference.words;
+      }
+      return wps;
+    });
+    if (diverged) {
       std::fprintf(stderr, "FATAL: parallel path diverges at %u threads\n",
                    thread_counts[i]);
       return 2;
@@ -381,42 +408,45 @@ int main(int argc, char** argv) {
   }
 
   // --- async serving throughput ---------------------------------------------
-  // The serving front-end against the same adder: submit a burst of
-  // batch-sized requests as futures and wait them all. Steady state — the
-  // warm-up request pays the one compile (cache miss); every timed request
-  // is a cache hit sharded across the pool.
+  // The serving front-end against the same adder: each window submits the
+  // 16 batches of a parallel window as futures and waits them all. Steady
+  // state — the warm-up request pays the one compile (cache miss); every
+  // timed request is a cache hit sharded across the pool.
   engine::parallel_executor serve_executor{hw_threads};
   const auto shared_raw = std::make_shared<const mig_network>(raw);
   double serving_wps = 0.0;
-  constexpr std::size_t serving_requests = 16;
   {
     engine::serving_session serving{serve_executor};
     // Warm-up: compile + pack. The timed loop submits through the
     // shared_ptr hot path — no per-request network copy, fingerprint
     // memoized after this first submission.
     (void)serving.submit(shared_raw, sweep_batch, phases).get();
-    // Timed like the parallel row: the per-request batch copies are made
-    // before the clock starts and the results compared after it stops, so
-    // the window holds only submission, evaluation and assembly.
-    std::vector<engine::wave_batch> batches(serving_requests, sweep_batch);
-    std::vector<std::future<engine::packed_wave_result>> futures;
-    futures.reserve(serving_requests);
-    std::vector<engine::packed_wave_result> results;
-    results.reserve(serving_requests);
-    start = std::chrono::steady_clock::now();
-    for (auto& batch : batches) {
-      futures.push_back(serving.submit(shared_raw, std::move(batch), phases));
-    }
-    for (auto& future : futures) {
-      results.push_back(future.get());
-    }
-    serving_wps =
-        static_cast<double>(serving_requests * sweep_waves) / seconds_since(start);
-    for (const auto& result : results) {
-      if (result.words != sweep_reference.words) {
-        std::fprintf(stderr, "FATAL: async serving path diverges from packed\n");
-        return 2;
+    bool diverged = false;
+    serving_wps = best_window([&] {
+      // Timed like the parallel rows: the per-request batch copies are made
+      // before the clock starts and the results compared after it stops, so
+      // the window holds only submission, evaluation and assembly.
+      std::vector<engine::wave_batch> batches(batches_per_window, sweep_batch);
+      std::vector<std::future<engine::packed_wave_result>> futures;
+      futures.reserve(batches_per_window);
+      std::vector<engine::packed_wave_result> results;
+      results.reserve(batches_per_window);
+      const auto window_start = std::chrono::steady_clock::now();
+      for (auto& batch : batches) {
+        futures.push_back(serving.submit(shared_raw, std::move(batch), phases));
       }
+      for (auto& future : futures) {
+        results.push_back(future.get());
+      }
+      const double wps = waves_per_window / seconds_since(window_start);
+      for (const auto& result : results) {
+        diverged = diverged || result.words != sweep_reference.words;
+      }
+      return wps;
+    });
+    if (diverged) {
+      std::fprintf(stderr, "FATAL: async serving path diverges from packed\n");
+      return 2;
     }
   }
 
@@ -814,9 +844,9 @@ int main(int argc, char** argv) {
                   bench::fmt(k.sweep.plane_opt2_wps / k.sweep.w1_wps).c_str(), ops, slots);
     }
 
-    std::printf("\nparallel thread-scaling sweep — %zu waves (%zu chunks), %u hardware "
-                "thread(s)\n",
-                sweep_waves, (sweep_waves + 63) / 64, hw_threads);
+    std::printf("\nparallel thread-scaling sweep — %zu runs x %zu waves (%zu chunks) per "
+                "window, best of %d windows, %u hardware thread(s)\n",
+                batches_per_window, sweep_waves, (sweep_waves + 63) / 64, windows, hw_threads);
     std::printf("%-22s %14s %10s\n", "threads", "waves/s", "scaling");
     bench::print_rule('-', 48);
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
@@ -825,7 +855,7 @@ int main(int argc, char** argv) {
     }
 
     std::printf("\nasync serving — %zu requests x %zu waves through serving_session\n",
-                serving_requests, sweep_waves);
+                batches_per_window, sweep_waves);
     std::printf("%-22s %14s\n", "serving async", bench::fmt(serving_wps).c_str());
 
     std::printf("\ndispatcher sweep — submission shapes through the coalescing dispatcher\n");

@@ -157,21 +157,6 @@ public:
   /// widening the datapath.
   static constexpr std::size_t max_block_chunks = 8;
 
-  /// Chunks per task when sharding a `num_chunks`-chunk batch across
-  /// `num_workers` workers — the partitioning every sharded front-end
-  /// (run_waves_parallel, the serving dispatcher's fused pool passes)
-  /// agrees on: full kernel width (`max_block_chunks`) on big batches so
-  /// dispatch amortizes, shrinking toward one chunk per task when the batch
-  /// is too small to feed every worker at full width (at least two tasks
-  /// per worker where possible — parallelism beats kernel width when the
-  /// batch cannot feed both).
-  static constexpr std::size_t shard_block_chunks(std::size_t num_chunks,
-                                                  std::size_t num_workers) {
-    const std::size_t workers = num_workers == 0 ? 1 : num_workers;
-    const std::size_t block = num_chunks / (2 * workers);
-    return block == 0 ? 1 : (block > max_block_chunks ? max_block_chunks : block);
-  }
-
   /// The native multi-word entry: evaluates `num_chunks` consecutive
   /// 64-wave chunks in word-blocks of up to `max_block_chunks`, with
   /// **plane-major** I/O — PI i's chunk words contiguous at
@@ -183,7 +168,9 @@ public:
   /// kernels for every width plus the runtime-dispatched AVX2 / NEON paths
   /// when built in (WAVEMIG_ENABLE_AVX2 / WAVEMIG_ENABLE_NEON). `slots` is
   /// reusable scratch; results are bit-identical to `eval_words_into` per
-  /// chunk (fed chunk c's word of every plane).
+  /// chunk (fed chunk c's word of every plane). Strides must be at least
+  /// `num_chunks`; a base may be null when its side has no planes (0 PIs or
+  /// 0 POs). Every packed front-end reaches the kernel through this entry.
   void eval_planes_block(const std::uint64_t* pi_planes, std::size_t pi_stride,
                          std::uint64_t* po_planes, std::size_t po_stride,
                          std::size_t num_chunks, std::vector<std::uint64_t>& slots) const;

@@ -24,38 +24,10 @@ namespace detail {
 struct group_state;
 }  // namespace detail
 
-/// Completion token of `parallel_executor::submit_group`: a handle on a
-/// sharded run that was enqueued without blocking the caller. The caller can
-/// poll (`done`), park on it (`wait`), or — the non-blocking path the
-/// serving dispatcher uses — attach a completion callback at submit time and
-/// never wait at all. Default-constructed tokens are empty (`valid() ==
-/// false`); copies share the same underlying run.
-class task_group {
-public:
-  task_group() = default;
-
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-  /// True once every task of the group finished (or was cancelled by an
-  /// earlier task's exception).
-  [[nodiscard]] bool done() const;
-  /// Blocks until the group completed. Must not be called from a task
-  /// running on the same executor (the parked worker may be the one the
-  /// group is waiting for). Does not rethrow — check `error()`.
-  void wait() const;
-  /// The first exception thrown by a task, or null. Stable once `done()`.
-  [[nodiscard]] std::exception_ptr error() const;
-
-private:
-  friend class parallel_executor;
-  explicit task_group(std::shared_ptr<detail::group_state> state)
-      : state_{std::move(state)} {}
-  std::shared_ptr<detail::group_state> state_;
-};
-
 /// Fired exactly once when a submitted group completes, on the worker that
 /// finished its last task; `error` is the group's first exception (null on
-/// success). Keep it light — it occupies a worker lane — and never block on
-/// the executor from inside it.
+/// success). It is the group's only completion signal. Keep it light — it
+/// occupies a worker lane — and never block on the executor from inside it.
 using group_callback = std::function<void(std::exception_ptr)>;
 
 /// Persistent worker pool for sharded packed execution. Workers are spawned
@@ -73,20 +45,17 @@ using group_callback = std::function<void(std::exception_ptr)>;
 /// queue mutex on the hot path: concurrent sessions and sharded runs
 /// contend only when they actually steal from each other.
 ///
-/// Two entry points, both sharding an index space over the same deques:
-/// * `for_each` blocks until done (what `run_waves_parallel` uses).
-/// * `submit_group` is its non-blocking sibling: it returns a `task_group`
-///   completion token immediately, so callers await (or attach a completion
-///   callback to) a sharded run without parking a thread inside the pool.
-///   This is what the serving dispatcher runs requests on.
+/// One entry point, `submit_group`, shards an index space over the deques
+/// and returns at once; its completion callback is the only completion
+/// signal. The packed core (run_waves_parallel and the serving dispatcher)
+/// runs every sharded pass through it. Safe to call from multiple threads
+/// concurrently.
 ///
-/// Both are safe to call from multiple threads concurrently.
-///
-/// Precondition: never *block on* the pool (`for_each`, `task_group::wait`,
-/// `run_waves_parallel`, `batch_session::run`) from inside a task running on
-/// the same executor — the blocked worker is the one that would have to run
-/// the awaited tasks, which deadlocks. `submit_group` without waiting is
-/// fine from inside tasks.
+/// Precondition: never *block on* the pool (`run_waves_parallel`,
+/// `batch_session::run`, or a wait on a group's callback) from inside a
+/// task running on the same executor — the blocked worker is the one that
+/// would have to run the awaited tasks, which deadlocks. `submit_group`
+/// without waiting is fine from inside tasks.
 class parallel_executor {
 public:
   /// `num_threads == 0` resolves to the hardware concurrency (at least 1).
@@ -100,24 +69,17 @@ public:
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Runs `fn(task, worker)` for every task in [0, num_tasks). Tasks are
-  /// pre-partitioned contiguously across the workers and rebalanced by
-  /// stealing; `worker` is the stable index of the executing worker in
-  /// [0, num_threads()). Blocks until every task finished; the first
-  /// exception thrown by `fn` is rethrown here after the remaining tasks
-  /// have been cancelled.
-  void for_each(std::size_t num_tasks, const std::function<void(std::size_t, unsigned)>& fn);
-
-  /// Non-blocking sibling of `for_each`: enqueues the sharded run and
-  /// returns its completion token immediately. The executor owns a copy of
-  /// `fn` until the group completes. `on_complete` (optional) fires exactly
+  /// Enqueues `fn(task, worker)` for every task in [0, num_tasks) and
+  /// returns without waiting. Tasks are pre-partitioned contiguously across
+  /// the workers and rebalanced by stealing; `worker` is the stable index of
+  /// the executing worker in [0, num_threads()). The executor owns `fn`
+  /// until the group completes. `on_complete` (optional) fires exactly
   /// once, on the worker that finishes the group's last task, with the
-  /// group's first error (null on success); a group of zero tasks completes
-  /// — and fires `on_complete` — before `submit_group` returns, on the
-  /// calling thread. An exception from a task cancels the group's remaining
-  /// tasks, exactly like `for_each`.
-  task_group submit_group(std::size_t num_tasks, std::function<void(std::size_t, unsigned)> fn,
-                          group_callback on_complete = {});
+  /// group's first error (null on success); a group of zero tasks fires it
+  /// before `submit_group` returns, on the calling thread. An exception from
+  /// a task cancels the group's tasks that have not started yet.
+  void submit_group(std::size_t num_tasks, std::function<void(std::size_t, unsigned)> fn,
+                    group_callback on_complete = {});
 
   /// Reusable per-worker scratch for the packed chunk kernel. Only the
   /// worker with index `worker` may touch it while tasks are running.
@@ -163,17 +125,14 @@ private:
 };
 
 /// Sharded packed execution: identical contract and bit-identical result
-/// words to `run_waves_packed`, with the batch distributed across the
-/// executor's workers in multi-chunk blocks
-/// (compiled_netlist::shard_block_chunks picks the block size: full
-/// multi-word kernel width on big batches, shrinking toward one chunk per
-/// task when the batch is too small to feed every worker at full width).
-/// Blocks are independent (wave coherence makes every chunk a pure function
-/// of its inputs); each task evaluates a chunk slice of the batch's
-/// plane-major view (no copy — a slice is the same planes at an offset
-/// base) and writes a disjoint chunk range of every result plane, so
-/// assembly is deterministic regardless of completion order — and identical
-/// at every block size.
+/// words to `run_waves_packed`. The batch is one member of the packed core,
+/// cut into multi-chunk blocks — full kernel width on big batches,
+/// shrinking toward one chunk per block when the batch is too small to feed
+/// every worker at full width — that run as one `submit_group`. Each block
+/// reads its chunk range of the batch's planes in place and writes the same
+/// range of every result plane, so assembly is deterministic regardless of
+/// completion order and identical at every block size. Blocks the calling
+/// thread until the group's completion callback fired.
 packed_wave_result run_waves_parallel(const compiled_netlist& net, const wave_batch& waves,
                                       unsigned phases, parallel_executor& executor);
 
@@ -274,9 +233,9 @@ public:
       const std::optional<compile_options>& opts = std::nullopt,
       std::optional<std::uint64_t> fingerprint = std::nullopt);
 
-  /// `compile` (with the session's options), then evaluates the batch on the
-  /// executor. The returned words are bit-identical to `run_waves_packed` on
-  /// the prepared network.
+  /// `compile` (with the session's options), then `run_waves_parallel` on
+  /// the executor. The returned words are bit-identical to
+  /// `run_waves_packed` on the prepared network.
   packed_wave_result run(const mig_network& net, const wave_batch& waves, unsigned phases,
                          const tech_scenario* scenario = nullptr);
 

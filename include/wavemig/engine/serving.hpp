@@ -160,8 +160,8 @@ struct serving_metrics {
   /// Requests failed because their deadline passed before dispatch (a
   /// subset of requests_failed).
   std::uint64_t requests_expired{0};
-  /// Requests that executed as members of a fused multi-request pool pass
-  /// (always counts the whole pass: a fused pass of 5 adds 5 here).
+  /// Requests that executed as members of a multi-request (fused) pool
+  /// pass, each evaluated in place (a fused pass of 5 adds 5 here).
   std::uint64_t coalesced_requests{0};
   std::uint64_t fused_passes{0};      ///< multi-request pool passes launched
   std::uint64_t singleton_passes{0};  ///< single-request pool passes launched
@@ -179,18 +179,19 @@ struct serving_metrics {
 ///   bit-identical to `run_waves_packed` on the session-balanced network.
 /// * Dispatchers drain the queue in **gulps** and **coalesce** small
 ///   same-program requests (same compiled-netlist fingerprint, buffer
-///   strategy, and phase count) into one fused multi-chunk pool pass: each
-///   request's waves become a chunk range of a fused plane-major block, the
-///   pass shards across the executor like one big batch, and the finished
-///   planes are sliced back per request. Wave coherence makes every 64-wave
-///   chunk a pure function of its own input chunk, so a request's sliced
-///   words are bit-identical to running it alone.
+///   strategy, and phase count) into one pool pass of the packed core whose
+///   members are evaluated in place: each request's blocks read its own
+///   batch and write its own result words, and the pass shards across the
+///   executor like one big batch. Wave coherence makes every 64-wave chunk
+///   a pure function of its own input chunk, so each result is
+///   bit-identical to running that request alone.
 /// * Execution is non-blocking end to end: a dispatcher launches each pass
-///   via `parallel_executor::submit_group` with a completion callback and
-///   immediately returns to the queue, so a couple of dispatchers keep
-///   dozens of requests in flight. Per-request completion callbacks fire on
-///   the worker that finished the pass (in no guaranteed order across
-///   requests — concurrent passes complete as they complete).
+///   as one `parallel_executor::submit_group` whose completion callback
+///   assembles the results, and immediately returns to the queue, so a
+///   couple of dispatchers keep dozens of requests in flight. Per-request
+///   completion callbacks fire on the worker that finished the pass (in no
+///   guaranteed order across requests — concurrent passes complete as they
+///   complete).
 /// * Error isolation: requests that fail preparation (malformed packed
 ///   words, incoherent netlist, phase/PI mismatch) fail individually and
 ///   never poison their gulp-mates. Members of one fused pass share a
@@ -339,21 +340,13 @@ private:
     std::chrono::steady_clock::time_point enqueued{};
   };
 
-  /// One launched pool pass: a singleton request (zero-copy view of its own
-  /// batch) or a fused group of small same-program requests packed into one
-  /// plane-major block. Shared between the group tasks, the completion
-  /// callback, and nothing else — destroyed when the last of them lets go.
+  /// One launched pool pass: one request, or several small same-program
+  /// requests coalesced. Each member is evaluated from its own batch into
+  /// its own result words. Owned by the pass's completion callback.
   struct exec_unit {
     std::shared_ptr<const compiled_netlist> program;
-    unsigned phases{0};
-    bool fused{false};
-    std::size_t total_chunks{0};
-    std::vector<request> members;
-    std::vector<std::size_t> member_offsets;  ///< chunk offset per member (fused)
-    std::vector<std::size_t> member_waves;    ///< wave count per member
-    wave_batch batch{0};                   ///< singleton input (moved from the request)
-    std::vector<std::uint64_t> in_words;   ///< fused input planes, stride total_chunks
-    std::vector<std::uint64_t> out_words;  ///< result planes, stride total_chunks
+    std::vector<request> members;  ///< same program and phases
+    std::vector<packed_wave_result> results;  ///< one per member
   };
 
   void enqueue(request req);
@@ -376,20 +369,20 @@ private:
   void fail_request(request& req, std::exception_ptr error);
   /// Launches one pass on the executor (waits for an in-flight slot first).
   void launch_unit(std::shared_ptr<exec_unit> unit);
-  /// Completion of one pass, on the worker that finished its last task (or
-  /// inline on the dispatcher for an empty pass): slices results back per
-  /// member, fires callbacks, retires the members and the in-flight slot.
+  /// Completion of one pass, on the worker that finished its last block (or
+  /// inline on the dispatcher for an empty pass): assembles each member's
+  /// result, fires callbacks, retires the members and the in-flight slot.
   void finish_unit(const std::shared_ptr<exec_unit>& unit, std::exception_ptr error);
 
   /// Requests per queue drain: bounds a gulp's preparation latency and the
-  /// transient memory of its fused blocks.
+  /// number of passes it launches.
   static constexpr std::size_t max_gulp_requests = 64;
   /// Requests at most this many chunks wide coalesce; wider ones amortize
   /// their pass overhead on their own. One full multi-word kernel pass.
   static constexpr std::size_t small_request_chunks = compiled_netlist::max_block_chunks;
-  /// Chunk budget of one fused block (128 chunks = 8192 waves): big enough
-  /// to amortize a pass over dozens of small requests, small enough that a
-  /// gulp's fused blocks stay cache- and memory-friendly.
+  /// Chunk budget of one coalesced pass (128 chunks = 8192 waves): big
+  /// enough to amortize a pass over dozens of small requests, small enough
+  /// that a pass's blocks stay cache-friendly.
   static constexpr std::size_t max_fused_chunks = 16 * compiled_netlist::max_block_chunks;
   static constexpr std::size_t max_queue_wait_samples = 8192;
 

@@ -21,9 +21,9 @@ namespace wavemig::engine {
 /// Read-only view of a plane-major word block: `num_signals` planes of
 /// `num_chunks` contiguous words each, consecutive planes `plane_stride`
 /// words apart (the stride may exceed `num_chunks` — a batch keeps spare
-/// chunk capacity, and a chunk slice of a wider block keeps the parent's
-/// stride). Bits above the last valid wave in the final chunk are zero for
-/// every view handed out by the engine's containers.
+/// chunk capacity). `planes` may be null when the block holds no words (no
+/// signals or no chunks). Bits above the last valid wave in the final chunk
+/// are zero for every view handed out by the engine's containers.
 struct wave_block_view {
   const std::uint64_t* planes{nullptr};
   std::size_t plane_stride{0};
@@ -32,27 +32,6 @@ struct wave_block_view {
 
   [[nodiscard]] const std::uint64_t* plane(std::size_t signal) const {
     return planes + signal * plane_stride;
-  }
-  /// The sub-view of chunks [first, first + count) — same planes, offset
-  /// base, unchanged stride. This is how sharded executors slice work
-  /// without copying: a slice is itself a valid plane-major block.
-  [[nodiscard]] wave_block_view slice(std::size_t first, std::size_t count) const {
-    return {planes + first, plane_stride, num_signals, count};
-  }
-};
-
-/// Mutable counterpart of wave_block_view (what evaluation writes into).
-struct wave_block_mut_view {
-  std::uint64_t* planes{nullptr};
-  std::size_t plane_stride{0};
-  std::size_t num_signals{0};
-  std::size_t num_chunks{0};
-
-  [[nodiscard]] std::uint64_t* plane(std::size_t signal) const {
-    return planes + signal * plane_stride;
-  }
-  [[nodiscard]] wave_block_mut_view slice(std::size_t first, std::size_t count) const {
-    return {planes + first, plane_stride, num_signals, count};
   }
 };
 
@@ -76,15 +55,6 @@ public:
   /// Appends one wave (one bool per PI). Throws std::invalid_argument on a
   /// width mismatch.
   void append(const std::vector<bool>& wave);
-
-  /// Bulk-appends `num_waves` packed waves given plane-major: PI i's words
-  /// at `planes + i * plane_stride`, exactly the layout of `view()` /
-  /// another batch's planes. When the batch holds a multiple of 64 waves it
-  /// is one contiguous copy per plane; otherwise each word is spliced with
-  /// at most two shifts — never bit by bit. Bits above `num_waves` in each
-  /// plane's last chunk are ignored.
-  void append_planes(const std::uint64_t* planes, std::size_t plane_stride,
-                     std::size_t num_waves);
 
   /// What `from_plane_words` does with bits above `num_waves` in a plane's
   /// last chunk: `mask` (the default) zeroes them silently — right for
@@ -177,10 +147,6 @@ struct packed_wave_result {
     return words.data() + po * num_chunks();
   }
 
-  [[nodiscard]] wave_block_view view() const {
-    return {words.data(), num_chunks(), num_pos, num_chunks()};
-  }
-
   /// Unpacks into the per-wave bool layout of wave_run_result::outputs
   /// (`out[w][p] == output(w, p)`), the inverse of wave_batch::from_waves:
   /// 64 plane words of a 64-wave x 64-PO tile go through one 64 x 64 bit
@@ -199,44 +165,16 @@ struct packed_wave_result {
 wave_run_result run_waves(const compiled_netlist& net,
                           const std::vector<std::vector<bool>>& waves, unsigned phases);
 
-/// @name Packed chunk kernel
-///
-/// The building blocks every packed front-end (`run_waves_packed`,
-/// `wave_stream`, and the sharded executors in parallel_executor.hpp) is
-/// assembled from: validation, clock metadata, and block evaluation over
-/// plane-major views. Routing all paths through the same kernel is what
-/// keeps single-threaded and multi-threaded results bit-identical.
-/// @{
-
-/// Throws std::invalid_argument unless `phases >= 1`, `batch_pis` matches
-/// the netlist, and the netlist is wave-coherent under `phases`. `who` is
-/// the prefix of the diagnostic messages.
-void validate_packed_run(const compiled_netlist& net, std::size_t batch_pis, unsigned phases,
-                         const char* who);
-
-/// Fills ticks / latency / initiation interval / waves in flight exactly as
-/// the cycle-accurate simulator reports them for the same run.
-void fill_packed_clock_metrics(packed_wave_result& result, const compiled_netlist& net,
-                               unsigned phases, std::size_t num_waves);
-
-/// Evaluates a plane-major block: PI words read from `pis`, PO words written
-/// into `pos` (both sides unit stride per signal — the zero-gather hot
-/// path; see compiled_netlist::eval_planes_block). The chunk counts of the
-/// two views must match, and their signal counts must match the netlist —
-/// std::invalid_argument otherwise. `scratch` is reused across calls; after
-/// the first call for a given netlist the kernel performs no allocation.
-void eval_packed_planes(const compiled_netlist& net, const wave_block_view& pis,
-                        const wave_block_mut_view& pos, std::vector<std::uint64_t>& scratch);
-
-/// @}
-
 /// Packed wave-pipelined execution: 64 independent waves per 64-bit word
 /// per step. Requires `net.wave_coherent(phases)` — on a coherent netlist
 /// every wave's sampled outputs equal the combinational evaluation of that
 /// wave's inputs (§II-C), which the engine exploits to stream whole chunks
 /// through the folded majority program. Throws std::invalid_argument when
 /// the netlist is not coherent under `phases` (use the cycle-accurate
-/// `run_waves` to observe interference) or when `phases == 0`.
+/// `run_waves` to observe interference) or when `phases == 0`. The batch is
+/// one member of the engine's packed core, evaluated inline on the calling
+/// thread in `max_block_chunks` steps; `run_waves_parallel` and the serving
+/// front-ends shard the same core, so every path returns these words.
 packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batch& waves,
                                     unsigned phases);
 
@@ -244,10 +182,11 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
 /// arrive incrementally: waves accumulate into a multi-chunk block
 /// (`block_waves` = 512 at the default kernel width) that is evaluated in
 /// one multi-word pass the moment it fills, with the pending storage and
-/// scratch reused across blocks. Each flushed block evaluates directly into
-/// the full-width result planes at its chunk offset; the planes grow
-/// geometrically, and finish() compacts them to the result stride and hands
-/// the buffer over. Result words are bit-identical to `run_waves_packed`.
+/// scratch reused across blocks. Each flushed block is an inline member of
+/// the packed core that writes the full-width result planes at its chunk
+/// offset; the planes grow geometrically, and finish() compacts them to the
+/// result stride, masks the tail and hands the buffer over. Result words
+/// are bit-identical to `run_waves_packed`.
 class wave_stream {
 public:
   /// Waves per evaluated block: one full pass of the multi-word kernel.

@@ -36,6 +36,8 @@ namespace wavemig::net {
 ///   scenario_len bytes  scenario name (empty = untagged)
 ///   netlist_len bytes   inline `.mig` netlist (empty = lookup fingerprint)
 ///   rest                plane-major payload words (a multiple of 8 bytes)
+/// `num_pis` must equal the program's PI count; the server answers
+/// `invalid_request` otherwise, before anything is submitted.
 ///
 /// Register (kind 3): u8 kind, u64 id, u32 netlist_len, netlist bytes. The
 /// response echoes the computed fingerprint, so subsequent runs can send

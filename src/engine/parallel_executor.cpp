@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <exception>
+#include <future>
 #include <stdexcept>
 
-#include "block_splice.hpp"
+#include "packed_run.hpp"
 #include "wavemig/fault/fault_injection.hpp"
 #include "wavemig/pipeline.hpp"
 
@@ -13,47 +14,18 @@ namespace wavemig::engine {
 namespace detail {
 
 /// Shared state of one submitted group: the task body, the countdown, and
-/// the completion machinery. Deque items and `task_group` tokens hold it
-/// through a shared_ptr, so the state outlives whichever of them finishes
-/// last.
+/// the completion callback. Deque items hold it through a shared_ptr, so
+/// the state outlives whichever item finishes last.
 struct group_state {
   std::function<void(std::size_t, unsigned)> fn;
   std::atomic<std::size_t> remaining{0};
   std::atomic<bool> cancelled{false};
-  mutable std::mutex mutex;
-  std::condition_variable cv;
-  bool done{false};
+  std::mutex mutex;  ///< guards `error`
   std::exception_ptr error;
   group_callback on_complete;
 };
 
 }  // namespace detail
-
-// --------------------------------------------------------- task_group ---
-
-bool task_group::done() const {
-  if (!state_) {
-    return true;
-  }
-  std::lock_guard<std::mutex> lock{state_->mutex};
-  return state_->done;
-}
-
-void task_group::wait() const {
-  if (!state_) {
-    return;
-  }
-  std::unique_lock<std::mutex> lock{state_->mutex};
-  state_->cv.wait(lock, [this] { return state_->done; });
-}
-
-std::exception_ptr task_group::error() const {
-  if (!state_) {
-    return nullptr;
-  }
-  std::lock_guard<std::mutex> lock{state_->mutex};
-  return state_->error;
-}
 
 // ------------------------------------------------------------ executor ---
 
@@ -156,24 +128,18 @@ void parallel_executor::run_item(task_item& item, unsigned worker) {
       group.cancelled.store(true, std::memory_order_relaxed);
     }
   }
-  if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task: publish completion, then fire the callback outside the
-    // lock (it may submit follow-up work against this executor).
-    group_callback on_complete;
+  if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1 && group.on_complete) {
+    // Last task: fire the callback outside the lock (it may submit
+    // follow-up work against this executor).
     std::exception_ptr error;
     {
       std::lock_guard<std::mutex> lock{group.mutex};
-      group.done = true;
       error = group.error;
-      on_complete = std::move(group.on_complete);
     }
-    group.cv.notify_all();
-    if (on_complete) {
-      try {
-        on_complete(error);
-      } catch (...) {
-        // A throwing completion must not take down the worker.
-      }
+    try {
+      group.on_complete(error);
+    } catch (...) {
+      // A throwing completion must not take down the worker.
     }
   }
 }
@@ -194,21 +160,20 @@ void parallel_executor::notify_new_work(std::size_t count) {
   }
 }
 
-task_group parallel_executor::submit_group(std::size_t num_tasks,
-                                           std::function<void(std::size_t, unsigned)> fn,
-                                           group_callback on_complete) {
-  auto state = std::make_shared<detail::group_state>();
-  state->fn = std::move(fn);
+void parallel_executor::submit_group(std::size_t num_tasks,
+                                     std::function<void(std::size_t, unsigned)> fn,
+                                     group_callback on_complete) {
   if (num_tasks == 0) {
-    state->done = true;
     if (on_complete) {
       try {
         on_complete(nullptr);
       } catch (...) {
       }
     }
-    return task_group{std::move(state)};
+    return;
   }
+  auto state = std::make_shared<detail::group_state>();
+  state->fn = std::move(fn);
   state->on_complete = std::move(on_complete);
   state->remaining.store(num_tasks, std::memory_order_relaxed);
 
@@ -236,56 +201,29 @@ task_group parallel_executor::submit_group(std::size_t num_tasks,
     }
   }
   notify_new_work(num_tasks);
-  return task_group{std::move(state)};
-}
-
-void parallel_executor::for_each(std::size_t num_tasks,
-                                 const std::function<void(std::size_t, unsigned)>& fn) {
-  if (num_tasks == 0) {
-    return;
-  }
-  // `fn` is captured by reference: this call blocks until the group
-  // completed, so the reference outlives the tasks.
-  const task_group group = submit_group(
-      num_tasks, [&fn](std::size_t task, unsigned worker) { fn(task, worker); }, {});
-  group.wait();
-  if (auto error = group.error()) {
-    std::rethrow_exception(error);
-  }
 }
 
 // ------------------------------------------------------- parallel run ---
 
 packed_wave_result run_waves_parallel(const compiled_netlist& net, const wave_batch& waves,
                                       unsigned phases, parallel_executor& executor) {
-  validate_packed_run(net, waves.num_pis(), phases, "run_waves_parallel");
-
-  packed_wave_result result;
-  result.num_pos = net.num_pos();
-  result.num_waves = waves.num_waves();
-  fill_packed_clock_metrics(result, net, phases, waves.num_waves());
-  result.words.resize(waves.num_chunks() * net.num_pos());
-
-  // One task per multi-chunk block (not per chunk), partitioned by the
-  // shared shard_block_chunks policy: the multi-word kernel runs at full
-  // width inside every task and dispatch overhead amortizes over the block.
-  // Sharding slices the batch's plane view — same planes, offset base, no
-  // copy — and every block writes a disjoint chunk range of each result
-  // plane, so the assembly is deterministic by construction and the result
-  // words are identical at every block size.
-  const std::size_t num_chunks = waves.num_chunks();
-  const std::size_t block =
-      compiled_netlist::shard_block_chunks(num_chunks, executor.num_threads());
-  const std::size_t num_blocks = (num_chunks + block - 1) / block;
-  const wave_block_view pis = waves.view();
-  const wave_block_mut_view pos{result.words.data(), num_chunks, net.num_pos(), num_chunks};
-  executor.for_each(num_blocks, [&](std::size_t b, unsigned worker) {
-    const std::size_t first = b * block;
-    const std::size_t count = std::min(block, num_chunks - first);
-    eval_packed_planes(net, pis.slice(first, count), pos.slice(first, count),
-                       executor.scratch(worker));
-  });
-  detail::mask_result_tail(result);
+  detail::validate_run(net, waves.num_pis(), phases, "run_waves_parallel");
+  auto result = detail::make_result(net, waves.num_waves());
+  // The wait state is owned by the callback, not by this frame: the worker
+  // that completes the group may still be inside set_value() when get()
+  // returns here and this frame unwinds.
+  auto finished = std::make_shared<std::promise<void>>();
+  auto done = finished->get_future();
+  detail::launch_sharded(net, {detail::member_of(waves, result)}, executor,
+                         [finished](std::exception_ptr error) {
+                           if (error) {
+                             finished->set_exception(error);
+                           } else {
+                             finished->set_value();
+                           }
+                         });
+  done.get();
+  detail::assemble(result, net, phases);
   return result;
 }
 

@@ -1,12 +1,11 @@
 #include "wavemig/engine/serving.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
 
-#include "block_splice.hpp"
+#include "packed_run.hpp"
 #include "wavemig/fault/fault_injection.hpp"
 
 namespace wavemig::engine {
@@ -350,7 +349,7 @@ void serving_session::process_gulp(std::vector<request> gulp) {
       // the same way.
       auto program = session_.compile(*req.net, req.phases, req.opts.scenario.get(),
                                       req.opts.compile, fingerprint_of(req.net));
-      validate_packed_run(*program, req.waves.num_pis(), req.phases, "serving_session");
+      detail::validate_run(*program, req.waves.num_pis(), req.phases, "serving_session");
       const std::size_t chunks = req.waves.num_chunks();
       ready.push_back({std::move(req), std::move(program), chunks});
     } catch (const deadline_expired_error&) {
@@ -369,7 +368,7 @@ void serving_session::process_gulp(std::vector<request> gulp) {
   // pointer doubles as the coalescing key. Requests wider than
   // small_request_chunks amortize a pass on their own and run as
   // singletons; small same-key requests pack greedily (in submission order)
-  // into fused blocks of at most max_fused_chunks.
+  // into passes of at most max_fused_chunks.
   struct group {
     const compiled_netlist* program;
     unsigned phases;
@@ -389,25 +388,28 @@ void serving_session::process_gulp(std::vector<request> gulp) {
     it->members.push_back(i);
   }
 
+  // One pass over the `count` requests ready[indices[0 .. count)]: each
+  // keeps its own batch, which the pass reads in place.
+  const auto launch = [&](const std::size_t* indices, std::size_t count) {
+    auto unit = std::make_shared<exec_unit>();
+    unit->program = ready[indices[0]].program;
+    unit->members.reserve(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      unit->members.push_back(std::move(ready[indices[k]].req));
+    }
+    launch_unit(std::move(unit));
+  };
   for (const group& g : groups) {
     std::vector<std::size_t> fusible;
     for (const std::size_t i : g.members) {
       if (ready[i].chunks > small_request_chunks) {
-        auto unit = std::make_shared<exec_unit>();
-        unit->program = ready[i].program;
-        unit->phases = g.phases;
-        unit->total_chunks = ready[i].chunks;
-        unit->member_waves.push_back(ready[i].req.waves.num_waves());
-        unit->batch = std::move(ready[i].req.waves);
-        ready[i].req.waves = wave_batch{0};
-        unit->members.push_back(std::move(ready[i].req));
-        launch_unit(std::move(unit));
+        launch(&i, 1);
       } else {
         fusible.push_back(i);
       }
     }
-    // Greedy packing in submission order; a leftover of one degenerates to
-    // a singleton pass on its own batch (zero-copy, no fused buffer).
+    // Greedy packing in submission order; a leftover of one runs as a
+    // singleton pass.
     std::size_t at = 0;
     while (at < fusible.size()) {
       std::size_t end = at;
@@ -417,42 +419,7 @@ void serving_session::process_gulp(std::vector<request> gulp) {
         total += ready[fusible[end]].chunks;
         ++end;
       }
-      auto unit = std::make_shared<exec_unit>();
-      unit->program = ready[fusible[at]].program;
-      unit->phases = g.phases;
-      unit->total_chunks = total;
-      if (end - at == 1) {
-        prepared& p = ready[fusible[at]];
-        unit->member_waves.push_back(p.req.waves.num_waves());
-        unit->batch = std::move(p.req.waves);
-        p.req.waves = wave_batch{0};
-        unit->members.push_back(std::move(p.req));
-      } else {
-        // Fused block: each member's planes land at its chunk offset of a
-        // shared plane-major buffer with stride == total. Members uphold
-        // the tail-zero invariant, so the fused planes do too; the unused
-        // lanes of a member's last chunk evaluate to garbage that the
-        // per-member slice-back masks off — chunk purity keeps every
-        // member's own chunks bit-identical to a standalone run.
-        unit->fused = true;
-        const std::size_t num_pis = unit->program->num_pis();
-        unit->in_words.assign(total * num_pis, 0);
-        unit->members.reserve(end - at);
-        std::size_t offset = 0;
-        for (std::size_t k = at; k < end; ++k) {
-          prepared& p = ready[fusible[k]];
-          for (std::size_t i = 0; i < num_pis; ++i) {
-            std::memcpy(unit->in_words.data() + i * total + offset, p.req.waves.plane(i),
-                        p.chunks * sizeof(std::uint64_t));
-          }
-          unit->member_offsets.push_back(offset);
-          unit->member_waves.push_back(p.req.waves.num_waves());
-          offset += p.chunks;
-          p.req.waves = wave_batch{0};  // input copied; free it before launch
-          unit->members.push_back(std::move(p.req));
-        }
-      }
-      launch_unit(std::move(unit));
+      launch(fusible.data() + at, end - at);
       at = end;
     }
   }
@@ -477,14 +444,13 @@ void serving_session::fail_request(request& req, std::exception_ptr error) {
 
 void serving_session::launch_unit(std::shared_ptr<exec_unit> unit) {
   {
-    // Bound the passes in flight: their result (and fused input) buffers
-    // are the dispatcher's only unbounded memory under a flood. Workers
-    // retire passes independently of the dispatchers, so this always
-    // clears.
+    // Bound the passes in flight: their result buffers are the
+    // dispatcher's only unbounded memory under a flood. Workers retire
+    // passes independently of the dispatchers, so this always clears.
     std::unique_lock<std::mutex> lock{mutex_};
     unit_retired_.wait(lock, [this] { return inflight_units_ < max_inflight_units_; });
     ++inflight_units_;
-    if (unit->fused) {
+    if (unit->members.size() > 1) {
       ++metrics_.fused_passes;
       metrics_.coalesced_requests += unit->members.size();
     } else {
@@ -492,57 +458,29 @@ void serving_session::launch_unit(std::shared_ptr<exec_unit> unit) {
     }
   }
 
-  const std::size_t num_pos = unit->program->num_pos();
-  unit->out_words.resize(unit->total_chunks * num_pos);
-  const std::size_t block =
-      compiled_netlist::shard_block_chunks(unit->total_chunks, executor_.num_threads());
-  const std::size_t num_blocks = unit->total_chunks == 0 ? 0 : (unit->total_chunks + block - 1) / block;
-
-  // Completion-token execution: the dispatcher returns to its queue as soon
-  // as the pass is enqueued; the worker finishing the last plane-block
-  // slices results back and fires the callbacks. An empty pass (zero-wave
-  // request) completes inline right here.
-  std::shared_ptr<exec_unit> task_ref = unit;
-  executor_.submit_group(
-      num_blocks,
-      [this, unit, block](std::size_t b, unsigned worker) {
-        const std::size_t first = b * block;
-        const std::size_t count = std::min(block, unit->total_chunks - first);
-        const wave_block_view pis =
-            unit->fused ? wave_block_view{unit->in_words.data(), unit->total_chunks,
-                                          unit->program->num_pis(), unit->total_chunks}
-                        : unit->batch.view();
-        const wave_block_mut_view pos{unit->out_words.data(), unit->total_chunks,
-                                      unit->program->num_pos(), unit->total_chunks};
-        eval_packed_planes(*unit->program, pis.slice(first, count), pos.slice(first, count),
-                           executor_.scratch(worker));
-      },
-      [this, task_ref](std::exception_ptr error) { finish_unit(task_ref, error); });
+  // Every member is evaluated from its own batch into its own result
+  // words. The dispatcher returns to its queue as soon as the pass is
+  // enqueued; the worker finishing the last block assembles the results and
+  // fires the callbacks. A pass with no chunks completes inline right here.
+  std::vector<detail::packed_member> members;
+  members.reserve(unit->members.size());
+  unit->results.reserve(unit->members.size());
+  for (const request& req : unit->members) {
+    unit->results.push_back(detail::make_result(*unit->program, req.waves.num_waves()));
+    members.push_back(detail::member_of(req.waves, unit->results.back()));
+  }
+  detail::launch_sharded(*unit->program, std::move(members), executor_,
+                         [this, unit](std::exception_ptr error) { finish_unit(unit, error); });
 }
 
 void serving_session::finish_unit(const std::shared_ptr<exec_unit>& unit,
                                   std::exception_ptr error) {
-  const std::size_t num_pos = unit->program->num_pos();
   for (std::size_t m = 0; m < unit->members.size(); ++m) {
     request& req = unit->members[m];
     packed_wave_result result;
     if (!error) {
-      result.num_pos = num_pos;
-      result.num_waves = unit->member_waves[m];
-      fill_packed_clock_metrics(result, *unit->program, unit->phases, result.num_waves);
-      const std::size_t chunks = result.num_chunks();
-      if (!unit->fused) {
-        result.words = std::move(unit->out_words);
-      } else {
-        result.words.resize(chunks * num_pos);
-        const std::size_t offset = unit->member_offsets[m];
-        for (std::size_t p = 0; p < num_pos; ++p) {
-          std::memcpy(result.words.data() + p * chunks,
-                      unit->out_words.data() + p * unit->total_chunks + offset,
-                      chunks * sizeof(std::uint64_t));
-        }
-      }
-      detail::mask_result_tail(result);
+      result = std::move(unit->results[m]);
+      detail::assemble(result, *unit->program, req.phases);
     }
     // Callbacks fire before the members retire from active_, so a drain()
     // racing a callback's follow-up submit never observes a false idle.

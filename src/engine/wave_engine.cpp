@@ -3,62 +3,12 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 
-#include "block_splice.hpp"
+#include "packed_run.hpp"
 
 namespace wavemig::engine {
 
 namespace {
-
-/// Clocking metadata shared by the cycle-accurate and packed paths; the
-/// formulas mirror the sampling schedule of the tick simulator exactly.
-/// Even a depth-0 (PI-to-PO) network carries one wave at a time, matching
-/// the latency_ticks fallback below.
-template <typename Result>
-void fill_clock_metrics(Result& result, const compiled_netlist& net, unsigned phases,
-                        std::size_t num_waves) {
-  const std::uint32_t depth = net.depth();
-  // FDM scenarios (compile_options::fdm_lanes > 1) carry several logical
-  // waves per physical conduit slot: wave w occupies slot w / lanes, and
-  // every physical wave in flight holds `lanes` logical ones. Metadata only
-  // — computed words are lane-independent.
-  const unsigned lanes = std::max(1u, net.options().fdm_lanes);
-  result.initiation_interval = phases;
-  result.latency_ticks = depth > 0 ? depth : 1;
-  result.waves_in_flight = std::max<std::uint32_t>(1, (depth + phases - 1) / phases) * lanes;
-  if (num_waves == 0) {
-    result.ticks = 0;
-    return;
-  }
-  std::uint64_t last_tick = 0;
-  const std::uint64_t last_wave = (num_waves - 1) / lanes;
-  for (std::size_t p = 0; p < net.num_pos(); ++p) {
-    if (net.po_constant()[p]) {
-      continue;
-    }
-    const std::uint32_t lvl = net.po_levels()[p];
-    last_tick = std::max(last_tick, last_wave * phases + (lvl > 0 ? lvl - 1 : 0));
-  }
-  result.ticks = last_tick + 1;
-}
-
-/// Splices one masked 64-wave word into a plane at wave offset
-/// `base_wave` (the unaligned step of `append_planes`): a low part into
-/// the partially filled chunk and, when the splice crosses a word
-/// boundary, a high part carried into the next one — two shifts, never
-/// per-bit. `total_chunks` bounds the carry store; when the carried
-/// bits would land past the final chunk they are provably zero
-/// (offset + valid wave bits <= 64), so the store is skipped.
-inline void splice_word(std::uint64_t* plane, std::uint64_t word, std::size_t base_wave,
-                        std::size_t total_chunks) {
-  const std::size_t offset = base_wave % 64;
-  const std::size_t lo_chunk = base_wave / 64;
-  plane[lo_chunk] |= word << offset;
-  if (offset != 0 && lo_chunk + 1 < total_chunks) {
-    plane[lo_chunk + 1] |= word >> (64 - offset);
-  }
-}
 
 /// Word `word` of a bool vector — its bits [64 * word, 64 * word + 64) at
 /// bits 0..63 — with the bits at and above `width` cleared (`width` is the
@@ -114,49 +64,6 @@ void transpose64(std::uint64_t* a) {
 
 }  // namespace
 
-void validate_packed_run(const compiled_netlist& net, std::size_t batch_pis, unsigned phases,
-                         const char* who) {
-  if (phases == 0) {
-    throw std::invalid_argument{std::string{who} + ": at least one clock phase required"};
-  }
-  if (batch_pis != net.num_pis()) {
-    throw std::invalid_argument{std::string{who} +
-                                ": each wave needs one value per primary input"};
-  }
-  if (!net.wave_coherent(phases)) {
-    throw std::invalid_argument{
-        std::string{who} + ": netlist is not wave-coherent under " + std::to_string(phases) +
-        " phases (edge spans " + std::to_string(net.min_edge_span()) + ".." +
-        std::to_string(net.max_edge_span()) +
-        " must lie in [1, phases]); balance it with insert_buffers or use the "
-        "cycle-accurate run_waves"};
-  }
-}
-
-void fill_packed_clock_metrics(packed_wave_result& result, const compiled_netlist& net,
-                               unsigned phases, std::size_t num_waves) {
-  fill_clock_metrics(result, net, phases, num_waves);
-}
-
-void eval_packed_planes(const compiled_netlist& net, const wave_block_view& pis,
-                        const wave_block_mut_view& pos, std::vector<std::uint64_t>& scratch) {
-  if (pis.num_signals != net.num_pis() || pos.num_signals != net.num_pos() ||
-      pis.num_chunks != pos.num_chunks) {
-    throw std::invalid_argument{
-        "eval_packed_planes: view shapes must match the netlist (PI/PO planes) and each "
-        "other (chunk count)"};
-  }
-  // A stride below the chunk count would silently overlap adjacent planes —
-  // the one shape error that corrupts output instead of reading wrong data.
-  if ((pis.num_signals != 0 && pis.plane_stride < pis.num_chunks) ||
-      (pos.num_signals != 0 && pos.plane_stride < pos.num_chunks)) {
-    throw std::invalid_argument{
-        "eval_packed_planes: plane stride must be at least the chunk count"};
-  }
-  net.eval_planes_block(pis.planes, pis.plane_stride, pos.planes, pos.plane_stride,
-                        pis.num_chunks, scratch);
-}
-
 // --------------------------------------------------------- wave_batch ---
 
 void wave_batch::ensure_chunk_capacity(std::size_t chunks) {
@@ -196,50 +103,14 @@ void wave_batch::append(const std::vector<bool>& wave) {
   if (bit == 0) {
     ensure_chunk_capacity(num_waves_ / 64 + 1);
   }
+  // Offsets are taken inside the loop: a 0-PI batch has no storage, and its
+  // null base must not be offset.
+  std::uint64_t* words = words_.data();
   const std::size_t chunk = num_waves_ / 64;
-  std::uint64_t* words = words_.data() + chunk;
-  for (std::size_t i = 0; i < num_pis_; ++i, words += chunk_capacity_) {
-    *words |= static_cast<std::uint64_t>(wave[i]) << bit;
+  for (std::size_t i = 0; i < num_pis_; ++i) {
+    words[i * chunk_capacity_ + chunk] |= static_cast<std::uint64_t>(wave[i]) << bit;
   }
   ++num_waves_;
-}
-
-void wave_batch::append_planes(const std::uint64_t* planes, std::size_t plane_stride,
-                               std::size_t num_waves) {
-  if (num_waves == 0) {
-    return;
-  }
-  const std::size_t in_chunks = (num_waves + 63) / 64;
-  const std::size_t offset = num_waves_ % 64;
-  const std::size_t total = num_waves_ + num_waves;
-  const std::size_t total_chunks = (total + 63) / 64;
-  ensure_chunk_capacity(total_chunks);
-
-  const std::size_t tail = num_waves % 64;
-  const std::uint64_t tail_mask = tail == 0 ? ~std::uint64_t{0}
-                                            : (std::uint64_t{1} << tail) - 1;
-  if (offset == 0) {
-    // Aligned: one contiguous copy per plane, then mask the incoming tail.
-    // copy_words_small because wide-PI appends put only a few chunk words
-    // in each of very many planes — the worst case for per-plane memcpy
-    // call overhead.
-    for (std::size_t i = 0; i < num_pis_; ++i) {
-      std::uint64_t* dst = words_.data() + i * chunk_capacity_ + num_waves_ / 64;
-      detail::copy_words_small(dst, planes + i * plane_stride, in_chunks);
-      dst[in_chunks - 1] &= tail_mask;
-    }
-  } else {
-    // Plane-outer iteration keeps the plane-major source sequential.
-    for (std::size_t i = 0; i < num_pis_; ++i) {
-      const std::uint64_t* src = planes + i * plane_stride;
-      std::uint64_t* plane = words_.data() + i * chunk_capacity_;
-      for (std::size_t c = 0; c < in_chunks; ++c) {
-        splice_word(plane, c + 1 == in_chunks ? src[c] & tail_mask : src[c],
-                    num_waves_ + c * 64, total_chunks);
-      }
-    }
-  }
-  num_waves_ = total;
 }
 
 wave_batch wave_batch::from_plane_words(std::vector<std::uint64_t> words, std::size_t num_pis,
@@ -350,7 +221,7 @@ wave_run_result run_waves(const compiled_netlist& net,
   }
 
   wave_run_result result;
-  fill_clock_metrics(result, net, phases, waves.size());
+  detail::fill_clock_metrics(result, net, phases, waves.size());
   result.outputs.assign(waves.size(), std::vector<bool>(net.num_pos(), false));
   if (waves.empty()) {
     return result;
@@ -503,29 +374,19 @@ wave_run_result run_waves(const compiled_netlist& net,
 
 packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batch& waves,
                                     unsigned phases) {
-  validate_packed_run(net, waves.num_pis(), phases, "run_waves_packed");
-
-  packed_wave_result result;
-  result.num_pos = net.num_pos();
-  result.num_waves = waves.num_waves();
-  fill_clock_metrics(result, net, phases, waves.num_waves());
-  result.words.resize(waves.num_chunks() * net.num_pos());
-
-  // Plane-major on both sides: the whole run is one multi-word block
-  // evaluation (internally split into word-blocks of
-  // compiled_netlist::max_block_chunks) with unit-stride PI/PO word I/O.
+  detail::validate_run(net, waves.num_pis(), phases, "run_waves_packed");
+  // The whole run is one inline member: the kernel steps through it in
+  // max_block_chunks word-blocks with unit-stride PI/PO word I/O.
+  auto result = detail::make_result(net, waves.num_waves());
   std::vector<std::uint64_t> scratch;
-  eval_packed_planes(net, waves.view(),
-                     {result.words.data(), waves.num_chunks(), net.num_pos(),
-                      waves.num_chunks()},
-                     scratch);
-  detail::mask_result_tail(result);
+  detail::eval_block(net, detail::member_of(waves, result), 0, waves.num_chunks(), scratch);
+  detail::assemble(result, net, phases);
   return result;
 }
 
 wave_stream::wave_stream(const compiled_netlist& net, unsigned phases)
     : net_{net}, phases_{phases}, pending_{net.num_pis()} {
-  validate_packed_run(net, net.num_pis(), phases, "wave_stream");
+  detail::validate_run(net, net.num_pis(), phases, "wave_stream");
   pending_.reserve(block_waves);
 }
 
@@ -562,9 +423,12 @@ void wave_stream::flush_pending() {
   // finish), so every block owns a whole chunk range of each plane.
   const std::size_t chunks = pending_.num_chunks();
   ensure_capacity(flushed_chunks_ + chunks);
-  eval_packed_planes(net_, pending_.view(),
-                     {done_words_.data() + flushed_chunks_, done_stride_, net_.num_pos(), chunks},
-                     scratch_);
+  const wave_block_view in = pending_.view();
+  detail::eval_block(net_,
+                     {in.planes, in.plane_stride,
+                      detail::chunk_offset(done_words_.data(), flushed_chunks_), done_stride_,
+                      chunks},
+                     0, chunks, scratch_);
   flushed_chunks_ += chunks;
   completed_ += pending_.num_waves();
   pending_.clear();  // keeps the packed-word storage for the next block
@@ -577,7 +441,6 @@ packed_wave_result wave_stream::finish() {
   packed_wave_result out;
   out.num_pos = net_.num_pos();
   out.num_waves = completed_;
-  fill_clock_metrics(out, net_, phases_, completed_);
   // Compact each plane down to the result stride (ascending planes: the
   // destination never overruns the source), then hand the buffer over.
   const std::size_t total_chunks = out.num_chunks();
@@ -589,7 +452,7 @@ packed_wave_result wave_stream::finish() {
   }
   done_words_.resize(total_chunks * out.num_pos);
   out.words = std::move(done_words_);
-  detail::mask_result_tail(out);
+  detail::assemble(out, net_, phases_);
   done_words_ = {};
   done_stride_ = 0;
   flushed_chunks_ = 0;

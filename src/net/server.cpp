@@ -345,6 +345,17 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
       return;
     }
   }
+  // The payload is only checked against the program's own shape, so a
+  // header that declares another PI count would be served under the
+  // program's: refuse it before submitting.
+  if (req.num_pis != net->num_pis()) {
+    respond_status(conn, req.id, wire_status::invalid_request,
+                   "run header declares " + std::to_string(req.num_pis) +
+                       " primary inputs; the program has " +
+                       std::to_string(net->num_pis()));
+    count_response(wire_status::invalid_request);
+    return;
+  }
 
   engine::submit_options opts;
   opts.priority = req.priority;

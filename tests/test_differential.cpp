@@ -203,67 +203,38 @@ TEST(differential, buffer_strategies_never_change_the_function) {
 
 // ---------------------------------------------------- layout fuzzing ---
 
-/// Plane-major ingestion fuzz: random plane words — stray bits above
-/// num_waves in every plane's last chunk, a random spare stride — must
-/// read back bit for bit through `append_planes` behind a random per-wave
-/// prefix (every splice offset class) and through `from_plane_words`, with
-/// every stray bit dropped. The last rounds use very wide interfaces
-/// (hundreds to thousands of planes, few waves).
+/// Plane-major ingestion fuzz: random plane words with stray bits above
+/// num_waves in every plane's last chunk must read back bit for bit through
+/// `from_plane_words`, with every stray bit dropped. The last rounds use
+/// very wide interfaces (hundreds to thousands of planes, few waves).
 TEST(differential, plane_ingestion_keeps_every_bit_and_drops_stray_ones) {
   std::mt19937_64 rng{0xBEEF};
   for (int round = 0; round < 48; ++round) {
     const std::size_t num_pis = round < 40 ? 1 + rng() % 12 : 64 + rng() % 1990;
     const std::size_t num_waves = round < 40 ? 1 + rng() % 600 : 1 + rng() % 200;
     const std::size_t chunks = (num_waves + 63) / 64;
-    const std::size_t stride = chunks + rng() % 3;
 
-    std::vector<std::uint64_t> planes(stride * num_pis);
+    std::vector<std::uint64_t> planes(chunks * num_pis);
     for (auto& w : planes) {
       w = rng();
     }
     const auto source_bit = [&](std::size_t i, std::size_t w) {
-      return ((planes[i * stride + w / 64] >> (w % 64)) & 1u) != 0;
+      return ((planes[i * chunks + w / 64] >> (w % 64)) & 1u) != 0;
     };
     const std::string what = "round " + std::to_string(round);
-
-    std::vector<std::uint64_t> packed(chunks * num_pis);
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      std::copy_n(planes.begin() + static_cast<std::ptrdiff_t>(i * stride), chunks,
-                  packed.begin() + static_cast<std::ptrdiff_t>(i * chunks));
-    }
-    const auto adopted = engine::wave_batch::from_plane_words(packed, num_pis, num_waves);
-
-    const std::size_t prefix = rng() % 130;
-    const auto head = random_waves(prefix, num_pis, rng());
-    engine::wave_batch appended{num_pis};
-    for (const auto& wave : head) {
-      appended.append(wave);
-    }
-    appended.append_planes(planes.data(), stride, num_waves);
+    const auto adopted = engine::wave_batch::from_plane_words(planes, num_pis, num_waves);
 
     ASSERT_EQ(adopted.num_waves(), num_waves) << what;
-    ASSERT_EQ(appended.num_waves(), prefix + num_waves) << what;
     for (std::size_t i = 0; i < num_pis; ++i) {
       for (std::size_t w = 0; w < num_waves; ++w) {
         if (adopted.input(w, i) != source_bit(i, w)) {
           FAIL() << what << ": adopted pi " << i << " wave " << w;
         }
-        if (appended.input(prefix + w, i) != source_bit(i, w)) {
-          FAIL() << what << ": appended pi " << i << " wave " << w << " prefix " << prefix;
-        }
-      }
-      for (std::size_t w = 0; w < prefix; ++w) {
-        if (appended.input(w, i) != head[w][i]) {
-          FAIL() << what << ": prefix pi " << i << " wave " << w;
-        }
       }
       // Every bit above the last wave of the last chunk reads zero.
-      for (const engine::wave_batch* batch : {&adopted, &std::as_const(appended)}) {
-        const std::size_t live = batch->num_waves() % 64;
-        if (live != 0) {
-          ASSERT_EQ(batch->plane(i)[batch->num_chunks() - 1] >> live, 0u)
-              << what << ": stray bits kept in pi " << i;
-        }
+      if (const std::size_t live = num_waves % 64; live != 0) {
+        ASSERT_EQ(adopted.plane(i)[chunks - 1] >> live, 0u)
+            << what << ": stray bits kept in pi " << i;
       }
     }
   }
@@ -290,7 +261,7 @@ TEST(differential, coalesced_serving_and_direct_streams_match_packed) {
     const std::string what = std::to_string(num_waves) + " waves";
 
     // Burst of identical small same-program requests: whatever the
-    // dispatcher fuses, every sliced-back result must equal the packed run.
+    // dispatcher coalesces, every member's result must equal the packed run.
     std::vector<std::future<engine::packed_wave_result>> futures;
     for (int i = 0; i < 6; ++i) {
       futures.push_back(serving.submit(shared, batch, 3));

@@ -329,8 +329,8 @@ std::vector<std::uint64_t> plane_kernel(const engine::compiled_netlist& net,
                                         std::vector<std::uint64_t>& scratch) {
   const std::size_t chunks = batch.num_chunks();
   std::vector<std::uint64_t> out(chunks * net.num_pos());
-  engine::eval_packed_planes(net, batch.view(), {out.data(), chunks, net.num_pos(), chunks},
-                             scratch);
+  net.eval_planes_block(batch.view().planes, batch.view().plane_stride, out.data(), chunks,
+                        chunks, scratch);
   return out;
 }
 
@@ -473,19 +473,11 @@ TEST(wave_batch, plane_view_exposes_the_transposed_words) {
           << "pi " << i << " wave " << w;
     }
   }
-
-  // A chunk slice is the same planes at an offset base (zero-copy sharding).
-  const auto slice = view.slice(1, 2);
-  EXPECT_EQ(slice.num_chunks, 2u);
-  for (std::size_t i = 0; i < num_pis; ++i) {
-    EXPECT_EQ(slice.plane(i), view.plane(i) + 1);
-  }
 }
 
 /// Audit of the tail-chunk masking contract: at every non-multiple-of-64
-/// wave count, per-bool append, plane-major bulk append, plane-word
-/// adoption and result unpack must mask identically — no stray bits above
-/// num_waves anywhere in the layout.
+/// wave count, per-bool packing, plane-word adoption and result unpack must
+/// mask identically — no stray bits above num_waves anywhere in the layout.
 TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
   const std::size_t num_pis = 6;
   for (const std::size_t num_waves : {1ull, 63ull, 64ull, 65ull, 511ull}) {
@@ -507,25 +499,20 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
       }
     }
 
-    engine::wave_batch from_planes{num_pis};
-    from_planes.append_planes(plane_major.data(), reference.num_chunks(), num_waves);
     const auto adopted =
         engine::wave_batch::from_plane_words(plane_major, num_pis, num_waves);
-
-    for (const engine::wave_batch* batch : {&std::as_const(from_planes), &adopted}) {
-      ASSERT_EQ(batch->num_waves(), num_waves);
-      for (std::size_t i = 0; i < num_pis; ++i) {
-        for (std::size_t c = 0; c < batch->num_chunks(); ++c) {
-          ASSERT_EQ(batch->plane(i)[c], reference.plane(i)[c])
-              << num_waves << " waves, pi " << i << " chunk " << c;
-        }
+    ASSERT_EQ(adopted.num_waves(), num_waves);
+    for (std::size_t i = 0; i < num_pis; ++i) {
+      for (std::size_t c = 0; c < adopted.num_chunks(); ++c) {
+        ASSERT_EQ(adopted.plane(i)[c], reference.plane(i)[c])
+            << num_waves << " waves, pi " << i << " chunk " << c;
       }
-      // Appending right after the bulk ingest lands on clean bits.
-      auto copy = *batch;
-      copy.append(waves[0]);
-      for (std::size_t i = 0; i < num_pis; ++i) {
-        ASSERT_EQ(copy.input(num_waves, i), waves[0][i]) << num_waves << " waves";
-      }
+    }
+    // Appending right after the adoption lands on clean bits.
+    auto copy = adopted;
+    copy.append(waves[0]);
+    for (std::size_t i = 0; i < num_pis; ++i) {
+      ASSERT_EQ(copy.input(num_waves, i), waves[0][i]) << num_waves << " waves";
     }
 
     // unpack() at the same wave counts: exactly num_waves rows, bit-exact.
@@ -538,61 +525,6 @@ TEST(wave_batch, tail_chunks_mask_identically_across_ingestion_paths) {
       for (std::size_t p = 0; p < run.num_pos; ++p) {
         ASSERT_EQ(unpacked[w][p], run.output(w, p)) << num_waves << " waves, wave " << w;
       }
-    }
-  }
-}
-
-TEST(wave_batch, append_planes_matches_per_wave_append) {
-  const std::size_t num_pis = 9;
-  const auto waves = random_waves(150, num_pis, 71);
-  const auto packed = engine::wave_batch::from_waves(waves, num_pis);
-
-  // A per-bool prefix puts the bulk words at every offset class: aligned
-  // (one copy per plane), unaligned (two-shift splices), and 64-crossing.
-  for (const std::size_t prefix : {0ull, 1ull, 37ull, 63ull, 64ull, 65ull, 100ull}) {
-    engine::wave_batch via_waves{num_pis};
-    engine::wave_batch via_planes{num_pis};
-    for (std::size_t w = 0; w < prefix; ++w) {
-      via_waves.append(waves[w]);
-      via_planes.append(waves[w]);
-    }
-    for (const auto& wave : waves) {
-      via_waves.append(wave);
-    }
-    via_planes.append_planes(packed.view().planes, packed.view().plane_stride, waves.size());
-    ASSERT_EQ(via_planes.num_waves(), via_waves.num_waves()) << "prefix " << prefix;
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      for (std::size_t c = 0; c < via_waves.num_chunks(); ++c) {
-        ASSERT_EQ(via_planes.plane(i)[c], via_waves.plane(i)[c])
-            << "prefix " << prefix << " pi " << i << " chunk " << c;
-      }
-    }
-    // Appending after a bulk append still lines up.
-    via_planes.append(waves[0]);
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      ASSERT_EQ(via_planes.input(prefix + waves.size(), i), waves[0][i]) << "prefix " << prefix;
-    }
-  }
-}
-
-TEST(wave_batch, append_planes_ignores_stray_bits_above_num_waves) {
-  // The caller's last chunk may carry garbage above num_waves; those bits
-  // must not leak into waves appended later, on the aligned copy path
-  // (prefix 0) or the unaligned splice path (prefix 3).
-  const std::size_t num_pis = 3;
-  const std::vector<std::uint64_t> planes(num_pis, ~std::uint64_t{0});  // all-ones chunks
-  for (const std::size_t prefix : {0ull, 3ull}) {
-    engine::wave_batch batch{num_pis};
-    for (std::size_t w = 0; w < prefix; ++w) {
-      batch.append({false, false, false});
-    }
-    batch.append_planes(planes.data(), 1, 5);  // only waves 0..4 are real
-    batch.append({false, false, false});
-    EXPECT_EQ(batch.num_waves(), prefix + 6);
-    for (std::size_t i = 0; i < num_pis; ++i) {
-      EXPECT_TRUE(batch.input(prefix + 4, i));
-      EXPECT_FALSE(batch.input(prefix + 5, i)) << "stray bit leaked into pi " << i;
-      EXPECT_EQ(batch.plane(i)[0] >> (prefix + 6), 0u) << "stray bits past the last wave";
     }
   }
 }

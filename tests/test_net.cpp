@@ -447,10 +447,22 @@ TEST(wire_refusals, bad_requests_map_to_exact_statuses) {
                 .status,
             net::wire_status::invalid_request);
 
+  // A header declaring one PI more than the program, over a payload that
+  // holds the program's own planes: refused before submission, not served
+  // under the program's shape.
+  const auto accepted_before = stack.serving.metrics().requests_accepted;
+  auto wrong_pis = make_run(fp, *net, 64, 3, random_planes(net->num_pis(), 64, 4));
+  wrong_pis.num_pis = static_cast<std::uint32_t>(net->num_pis() + 1);
+  const auto wrong_pis_resp = client.run(std::move(wrong_pis));
+  EXPECT_EQ(wrong_pis_resp.status, net::wire_status::invalid_request);
+  EXPECT_NE(wrong_pis_resp.message.find("primary inputs"), std::string::npos)
+      << wrong_pis_resp.message;
+  EXPECT_EQ(stack.serving.metrics().requests_accepted, accepted_before);
+
   // The connection survives every refusal: a healthy request still runs.
   EXPECT_EQ(client.run(make_run(fp, *net, 64, 3, random_planes(net->num_pis(), 64, 2))).status,
             net::wire_status::ok);
-  EXPECT_GE(stack.server.stats().requests_refused, 5u);
+  EXPECT_GE(stack.server.stats().requests_refused, 6u);
 }
 
 TEST(wire_refusals, stray_tail_bits_reject_unless_masking_is_requested) {

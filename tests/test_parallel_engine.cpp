@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -101,31 +103,47 @@ TEST(parallel_waves, empty_batch_and_validation) {
                std::invalid_argument);
 }
 
-TEST(parallel_executor, for_each_covers_every_task_exactly_once) {
+/// Submits a group and waits on its completion callback — the group's only
+/// completion signal — returning the group's first error. The promise is
+/// owned by the callback, so the worker that fires it never touches a
+/// destroyed frame.
+std::exception_ptr run_group(engine::parallel_executor& executor, std::size_t num_tasks,
+                             std::function<void(std::size_t, unsigned)> fn) {
+  auto finished = std::make_shared<std::promise<std::exception_ptr>>();
+  auto done = finished->get_future();
+  executor.submit_group(num_tasks, std::move(fn),
+                        [finished](std::exception_ptr error) { finished->set_value(error); });
+  return done.get();
+}
+
+TEST(parallel_executor, submit_group_covers_every_task_exactly_once) {
   engine::parallel_executor executor{4};
   constexpr std::size_t num_tasks = 500;
   std::vector<std::atomic<int>> hits(num_tasks);
-  executor.for_each(num_tasks, [&](std::size_t task, unsigned worker) {
-    ASSERT_LT(worker, executor.num_threads());
-    hits[task].fetch_add(1);
-  });
+  EXPECT_EQ(run_group(executor, num_tasks,
+                      [&](std::size_t task, unsigned worker) {
+                        ASSERT_LT(worker, executor.num_threads());
+                        hits[task].fetch_add(1);
+                      }),
+            nullptr);
   for (std::size_t t = 0; t < num_tasks; ++t) {
     EXPECT_EQ(hits[t].load(), 1) << "task " << t;
   }
 }
 
-TEST(parallel_executor, for_each_propagates_exceptions) {
+TEST(parallel_executor, submit_group_reports_a_task_exception) {
   engine::parallel_executor executor{3};
-  EXPECT_THROW(executor.for_each(64,
-                                 [&](std::size_t task, unsigned) {
-                                   if (task == 17) {
-                                     throw std::runtime_error{"boom"};
-                                   }
-                                 }),
-               std::runtime_error);
-  // The pool survives a throwing batch and keeps serving.
+  const std::exception_ptr error = run_group(executor, 64, [&](std::size_t task, unsigned) {
+    if (task == 17) {
+      throw std::runtime_error{"boom"};
+    }
+  });
+  ASSERT_NE(error, nullptr);
+  EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
+  // The pool survives a throwing group and keeps serving.
   std::atomic<std::size_t> count{0};
-  executor.for_each(10, [&](std::size_t, unsigned) { count.fetch_add(1); });
+  EXPECT_EQ(run_group(executor, 10, [&](std::size_t, unsigned) { count.fetch_add(1); }),
+            nullptr);
   EXPECT_EQ(count.load(), 10u);
 }
 
@@ -133,14 +151,21 @@ TEST(parallel_executor, submit_group_completes_without_blocking_the_caller) {
   engine::parallel_executor executor{4};
   constexpr std::size_t num_tasks = 300;
   std::vector<std::atomic<int>> hits(num_tasks);
-  const auto group = executor.submit_group(num_tasks, [&](std::size_t task, unsigned worker) {
-    ASSERT_LT(worker, executor.num_threads());
-    hits[task].fetch_add(1);
-  });
-  ASSERT_TRUE(group.valid());
-  group.wait();
-  EXPECT_TRUE(group.done());
-  EXPECT_EQ(group.error(), nullptr);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto completion = std::make_shared<std::promise<std::exception_ptr>>();
+  auto completed = completion->get_future();
+  // Every task waits for the release below, so this call can only return
+  // because submit_group never waits for its tasks.
+  executor.submit_group(
+      num_tasks,
+      [&hits, released](std::size_t task, unsigned) {
+        released.wait();
+        hits[task].fetch_add(1);
+      },
+      [completion](std::exception_ptr error) { completion->set_value(error); });
+  release.set_value();
+  EXPECT_EQ(completed.get(), nullptr);
   for (std::size_t t = 0; t < num_tasks; ++t) {
     EXPECT_EQ(hits[t].load(), 1) << "task " << t;
   }
@@ -151,7 +176,7 @@ TEST(parallel_executor, submit_group_fires_on_complete_exactly_once) {
   std::atomic<int> fired{0};
   std::promise<std::exception_ptr> completion;
   auto completed = completion.get_future();
-  (void)executor.submit_group(
+  executor.submit_group(
       64, [](std::size_t, unsigned) {},
       [&](std::exception_ptr error) {
         fired.fetch_add(1);
@@ -164,40 +189,31 @@ TEST(parallel_executor, submit_group_fires_on_complete_exactly_once) {
 TEST(parallel_executor, empty_group_completes_inline) {
   engine::parallel_executor executor{2};
   std::atomic<int> fired{0};
-  const auto group = executor.submit_group(
+  executor.submit_group(
       0, [](std::size_t, unsigned) { FAIL() << "no task should run"; },
       [&](std::exception_ptr error) {
         EXPECT_EQ(error, nullptr);
         fired.fetch_add(1);
       });
-  // A zero-task group is done — and its completion has fired — before
-  // submit_group returns, on the calling thread.
-  EXPECT_TRUE(group.done());
+  // A zero-task group's completion has fired before submit_group returns,
+  // on the calling thread.
   EXPECT_EQ(fired.load(), 1);
-  group.wait();
-  EXPECT_EQ(group.error(), nullptr);
 }
 
 TEST(parallel_executor, submit_group_captures_the_error_and_cancels) {
   engine::parallel_executor executor{2};
   std::atomic<std::size_t> ran{0};
   std::atomic<bool> thrown{false};
-  std::promise<std::exception_ptr> completion;
-  auto completed = completion.get_future();
-  (void)executor.submit_group(
-      256,
-      [&](std::size_t, unsigned) {
-        // The first task to actually execute throws — index-independent, so
-        // no steal order can run the whole group before the error. The rest
-        // are slowed down enough that cancellation must catch the tail.
-        if (!thrown.exchange(true)) {
-          throw std::runtime_error{"boom"};
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds{200});
-        ran.fetch_add(1);
-      },
-      [&](std::exception_ptr error) { completion.set_value(error); });
-  const std::exception_ptr error = completed.get();
+  const std::exception_ptr error = run_group(executor, 256, [&](std::size_t, unsigned) {
+    // The first task to actually execute throws — index-independent, so no
+    // steal order can run the whole group before the error. The rest are
+    // slowed down enough that cancellation must catch the tail.
+    if (!thrown.exchange(true)) {
+      throw std::runtime_error{"boom"};
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds{200});
+    ran.fetch_add(1);
+  });
   ASSERT_NE(error, nullptr);
   EXPECT_THROW(std::rethrow_exception(error), std::runtime_error);
   // Cancellation skips tasks not yet started: the tail of the group must
@@ -205,7 +221,8 @@ TEST(parallel_executor, submit_group_captures_the_error_and_cancels) {
   EXPECT_LT(ran.load(), 255u);
   // The pool survives and keeps serving.
   std::atomic<std::size_t> count{0};
-  executor.for_each(10, [&](std::size_t, unsigned) { count.fetch_add(1); });
+  EXPECT_EQ(run_group(executor, 10, [&](std::size_t, unsigned) { count.fetch_add(1); }),
+            nullptr);
   EXPECT_EQ(count.load(), 10u);
 }
 
@@ -220,10 +237,9 @@ TEST(parallel_executor, concurrent_groups_from_many_threads_all_complete) {
   for (std::size_t s = 0; s < submitters; ++s) {
     threads.emplace_back([&] {
       for (std::size_t g = 0; g < groups_each; ++g) {
-        const auto group = executor.submit_group(
-            tasks_per_group, [&](std::size_t, unsigned) { total.fetch_add(1); });
-        group.wait();
-        EXPECT_EQ(group.error(), nullptr);
+        EXPECT_EQ(run_group(executor, tasks_per_group,
+                            [&](std::size_t, unsigned) { total.fetch_add(1); }),
+                  nullptr);
       }
     });
   }

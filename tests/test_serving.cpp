@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <future>
 #include <memory>
 #include <optional>
@@ -387,6 +388,70 @@ TEST(serving_session, eviction_races_in_flight_requests) {
   EXPECT_GT(stats.evictions, 0u);
 }
 
+// ----------------------------------------------- degenerate shapes ---
+
+/// The packed front-ends on programs with no planes on one side: a 0-PO
+/// network (empty result words) and a 0-PI network with constant outputs
+/// (no input words). At 4,096 waves and more a 4-worker run cuts several
+/// shard blocks, so every block past the first starts at a nonzero chunk
+/// offset from a null base. Expected words: empty, or constant planes with
+/// the tail masked.
+TEST(packed_paths, zero_pi_and_zero_po_programs_run_on_every_path) {
+  mig_network no_pos;
+  no_pos.create_maj(no_pos.create_pi(), no_pos.create_pi(), no_pos.create_pi());
+  mig_network no_pis;
+  no_pis.create_po(no_pis.get_constant(false));
+  no_pis.create_po(no_pis.get_constant(true));
+
+  engine::parallel_executor executor{4};
+  engine::serving_session serving{executor};
+  constexpr unsigned phases = 3;
+  for (const mig_network* net : {&no_pos, &no_pis}) {
+    const auto balanced = insert_buffers(*net);
+    const engine::compiled_netlist compiled{balanced.net, balanced.schedule};
+    const auto shared = std::make_shared<const mig_network>(*net);
+    for (const std::size_t num_waves : {63ull, 4096ull, 4133ull}) {
+      const std::string what = std::to_string(net->num_pis()) + " PIs, " +
+                               std::to_string(net->num_pos()) + " POs, " +
+                               std::to_string(num_waves) + " waves";
+      const std::size_t chunks = (num_waves + 63) / 64;
+      std::vector<std::uint64_t> want(chunks * net->num_pos(), 0);
+      if (net->num_pos() == 2) {  // PO 0 is constant 0, PO 1 constant 1
+        std::fill(want.begin() + static_cast<std::ptrdiff_t>(chunks), want.end(),
+                  ~std::uint64_t{0});
+        if (num_waves % 64 != 0) {
+          want.back() = (std::uint64_t{1} << (num_waves % 64)) - 1;
+        }
+      }
+
+      const auto waves = random_waves(num_waves, net->num_pis(), num_waves);
+      const auto batch = engine::wave_batch::from_waves(waves, net->num_pis());
+      std::vector<std::uint64_t> planes(chunks * net->num_pis());
+      for (std::size_t i = 0; i < net->num_pis(); ++i) {
+        std::copy_n(batch.plane(i), chunks,
+                    planes.begin() + static_cast<std::ptrdiff_t>(i * chunks));
+      }
+      engine::wave_stream stream{compiled, phases};
+      for (const auto& wave : waves) {
+        stream.push(wave);
+      }
+
+      const auto packed = engine::run_waves_packed(compiled, batch, phases);
+      const std::pair<const char*, engine::packed_wave_result> runs[] = {
+          {"run_waves_packed", packed},
+          {"run_waves_parallel", engine::run_waves_parallel(compiled, batch, phases, executor)},
+          {"wave_stream", stream.finish()},
+          {"submit_packed", serving.submit_packed(shared, planes, num_waves, phases).get()}};
+      for (const auto& [path, got] : runs) {
+        EXPECT_EQ(got.num_waves, num_waves) << path << ", " << what;
+        EXPECT_EQ(got.num_pos, net->num_pos()) << path << ", " << what;
+        EXPECT_EQ(got.words, want) << path << ", " << what;
+        EXPECT_EQ(got.ticks, packed.ticks) << path << ", " << what;
+      }
+    }
+  }
+}
+
 // ------------------------------------------------ dispatcher coalescing ---
 
 TEST(serving_coalescing, many_small_same_program_requests_fuse_and_stay_exact) {
@@ -412,7 +477,7 @@ TEST(serving_coalescing, many_small_same_program_requests_fuse_and_stay_exact) {
   batches.reserve(burst);
   for (int i = 0; i < burst; ++i) {
     // Small (a few chunks at most) so they qualify for fusing, with uneven
-    // tails to exercise per-member masking inside the fused block.
+    // tails to exercise per-member masking inside the fused pass.
     batches.push_back(batch_for(*net, 30 + 19 * (i % 7), 9100 + i));
   }
   for (const auto& batch : batches) {
@@ -442,6 +507,60 @@ TEST(serving_coalescing, many_small_same_program_requests_fuse_and_stay_exact) {
   // Per-request compile bookkeeping is preserved under coalescing.
   const auto stats = serving.stats();
   EXPECT_EQ(stats.hits + stats.misses, 1u + burst);
+}
+
+TEST(serving_coalescing, members_cut_across_shard_blocks_stay_exact) {
+  // On four workers, eight requests of 5-8 chunks with odd tails fuse into
+  // one 52-chunk pass whose shard blocks are 52 / 8 = 6 chunks wide, so the
+  // 7- and 8-chunk members are split across blocks. Each member is
+  // evaluated from its own batch into its own words, block by block.
+  engine::parallel_executor executor{4};
+  engine::serving_session serving{executor, {}, {}, 1};
+
+  const auto net = std::make_shared<const mig_network>(gen::multiplier_circuit(4));
+  serving.submit(net, batch_for(*net, 64, 9500), 3).get();  // warm the cache
+
+  // A zero-phase request fails on the dispatcher, which runs its callback:
+  // holding the only dispatcher there while the burst queues up makes the
+  // whole burst arrive in one gulp.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  serving.submit(net, batch_for(*net, 64, 9501), 0,
+                 [&entered, released](engine::packed_wave_result, std::exception_ptr error) {
+                   EXPECT_NE(error, nullptr);
+                   entered.set_value();
+                   released.wait();
+                 });
+  entered.get_future().wait();
+
+  constexpr std::size_t member_chunks[] = {5, 6, 7, 8, 5, 6, 7, 8};
+  std::vector<engine::wave_batch> batches;
+  std::vector<std::future<engine::packed_wave_result>> futures;
+  for (std::size_t i = 0; i < std::size(member_chunks); ++i) {
+    batches.push_back(batch_for(*net, 64 * (member_chunks[i] - 1) + 2 * i + 1, 9600 + i));
+    ASSERT_EQ(batches.back().num_chunks(), member_chunks[i]);
+  }
+  for (const auto& batch : batches) {
+    futures.push_back(serving.submit(net, batch, 3));
+  }
+  release.set_value();
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const auto got = futures[i].get();
+    const auto want = packed_reference(*net, batches[i], 3);
+    EXPECT_EQ(got.words, want.words) << "request " << i;
+    EXPECT_EQ(got.num_waves, want.num_waves) << "request " << i;
+    EXPECT_EQ(got.ticks, want.ticks) << "request " << i;
+  }
+  serving.drain();
+
+  const auto metrics = serving.metrics();
+  EXPECT_EQ(metrics.requests_completed, 1u + std::size(member_chunks));
+  EXPECT_EQ(metrics.requests_failed, 1u);
+  EXPECT_GT(metrics.fused_passes, 0u);
+  EXPECT_EQ(metrics.coalesced_requests, std::size(member_chunks));
+  EXPECT_LT(metrics.fused_passes + metrics.singleton_passes, metrics.requests_accepted);
 }
 
 TEST(serving_coalescing, mixed_programs_in_one_gulp_group_by_program) {
@@ -677,8 +796,8 @@ TEST(serving_scenarios, same_netlist_per_scenario_programs_stay_separate) {
 }
 
 /// Zero-copy packed submission with a scenario: plane-major words adopted
-/// wholesale, evaluated on the scenario-prepared program, sliced back
-/// bit-identical to the untagged packed reference.
+/// wholesale, evaluated on the scenario-prepared program, bit-identical to
+/// the untagged packed reference.
 TEST(serving_scenarios, packed_scenario_submission_matches_the_reference) {
   engine::parallel_executor executor{2};
   engine::serving_session serving{executor};
