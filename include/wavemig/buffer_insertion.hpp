@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "wavemig/mig.hpp"
 #include "wavemig/scheduling.hpp"
@@ -67,5 +68,32 @@ struct buffer_insertion_result {
 /// (run fan-out restriction first).
 buffer_insertion_result insert_buffers(const mig_network& net,
                                        const buffer_insertion_options& options = {});
+
+/// The clock of the netlist `insert_buffers(net, options)` builds, read off
+/// `net` itself before any buffer exists. Buffers are one-input delay
+/// elements: they move every edge's levels but never a majority gate, so
+/// this clock plus the gates of `net` is everything a packed program of the
+/// balanced netlist holds (see compiled_netlist's balance_plan
+/// constructor).
+struct balance_plan {
+  /// Scheduled level of every node of `net` under `options.schedule`; each
+  /// keeps it in the balanced netlist, whose buffers fill the levels between.
+  level_map schedule;
+  /// Per PO: scheduled level of its balanced driver (0 when constant).
+  std::vector<std::uint32_t> po_levels;
+  /// `insert_buffers(net, options).schedule.depth`.
+  std::uint32_t depth{0};
+  /// Bounds of level(consumer) - level(producer) over the balanced
+  /// netlist's data edges under its schedule; 1 and 1 when it has none.
+  std::uint32_t min_edge_span{1};
+  std::uint32_t max_edge_span{1};
+};
+
+/// Plans `insert_buffers(net, options)` without building it. The same
+/// per-edge rules decide both — schedule policy, tolerance and output
+/// padding — and the same exceptions refuse: std::invalid_argument for a
+/// fan-out limit below 2, and for a driver whose fan-out exceeds the
+/// buffer-tree capacity.
+balance_plan plan_balance(const mig_network& net, const buffer_insertion_options& options = {});
 
 }  // namespace wavemig

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "wavemig/buffer_insertion.hpp"
 #include "wavemig/engine/optimizer.hpp"
 #include "wavemig/levels.hpp"
 #include "wavemig/mig.hpp"
@@ -20,18 +21,20 @@ constexpr std::uint64_t complement_mask(slot_ref ref) {
   return static_cast<std::uint64_t>(0) - static_cast<std::uint64_t>(ref & 1u);
 }
 
-/// One-time lowering of a `mig_network` plus a clock schedule into flat
-/// structure-of-arrays form. All per-tick decisions of the interpreters —
-/// kind dispatch, fan-in chasing through `std::array<signal, 3>`,
-/// `vector<bool>` proxies — are resolved at compile time into two programs:
+/// One-time lowering of a `mig_network` plus its clock into the packed
+/// program every packed front-end runs: the majority gates in flat
+/// structure-of-arrays form, with buffers and fan-out gates folded away by
+/// reference forwarding, plus the clock metadata the packed path reports —
+/// depth, PO levels, PO-constant flags and edge-span bounds — and the
+/// options it was compiled with. This is the engine behind
+/// `simulate_words`, `simulate_truth_tables` and the packed wave path,
+/// where identity components contribute nothing.
 ///
-/// * a **combinational program** (`comb` arrays): majority gates only, with
-///   buffers and fan-out gates folded away by reference forwarding. This is
-///   the engine behind `simulate_words`, `simulate_truth_tables` and the
-///   packed wave path, where identity components contribute nothing.
-/// * a **tick program** (`tick` arrays): every physical component with its
-///   scheduled level, preserving the cycle-accurate semantics of
-///   `run_waves` — including wave interference on unbalanced netlists.
+/// The cycle-accurate tick program, which keeps every physical component,
+/// is a separate type (`tick_program`, engine/wave_engine.hpp), so a packed
+/// program never carries one. A served program is lowered from the
+/// unbalanced netlist and clocked by its balance plan (see the
+/// `balance_plan` constructor): no balancing buffer is ever built for it.
 ///
 /// A compiled netlist is immutable and can be shared by any number of
 /// concurrent evaluations; all mutable state lives in caller-provided
@@ -45,17 +48,6 @@ public:
     slot_ref a, b, c;
   };
 
-  enum class tick_kind : std::uint8_t { majority, copy };
-
-  /// Physical component of the tick program. Fan-ins are `slot_ref`s into
-  /// the per-node state array (slot == node index).
-  struct tick_op {
-    std::uint32_t target;
-    slot_ref a, b, c;        ///< copy ops use only `a`
-    std::uint32_t level;     ///< scheduled level (>= 1 for components)
-    tick_kind kind;
-  };
-
   /// Compiles against the network's ASAP levels.
   explicit compiled_netlist(const mig_network& net, compile_options options = {});
 
@@ -65,18 +57,29 @@ public:
   compiled_netlist(const mig_network& net, const level_map& schedule,
                    compile_options options = {});
 
+  /// Compiles the balanced netlist without building it: the gates of the
+  /// unbalanced `net`, clocked by `plan = plan_balance(net, balance)`. The
+  /// result has the comb program and clock metadata of
+  /// `compiled_netlist{b.net, b.schedule, options}` with
+  /// `b = insert_buffers(net, balance)` — buffers fold out of the comb
+  /// program, and the plan fixes depth, PO levels and spans before any
+  /// buffer exists. This is what a `batch_session` cache miss compiles.
+  compiled_netlist(const mig_network& net, const balance_plan& plan,
+                   compile_options options = {});
+
   /// Compiles only the combinational program — no level computation, no
-  /// tick program, no coherence metadata (wave_coherent is always false).
+  /// coherence metadata (wave_coherent is always false, every PO level 0).
   /// The cheap lowering for purely combinational consumers
   /// (simulate_words & friends).
   static compiled_netlist comb_only(const mig_network& net, compile_options options = {});
 
   /// @name Interface shape
   /// @{
-  /// Resident bytes of the lowered programs (ops, references, PO metadata
-  /// plus the object header) — what a bounded compiled-netlist cache charges
-  /// an entry against its byte budget. Deterministic for a given network:
-  /// every vector is sized exactly during lowering and never reallocates.
+  /// Resident bytes of the program (majority ops, PO references, PO levels
+  /// and constant flags, plus the object header) — what a bounded
+  /// compiled-netlist cache charges an entry against its byte budget.
+  /// Deterministic for a given network: every vector is sized exactly
+  /// during lowering and never reallocates.
   [[nodiscard]] std::size_t memory_bytes() const;
   [[nodiscard]] std::size_t num_pis() const { return num_pis_; }
   [[nodiscard]] std::size_t num_pos() const { return num_pos_; }
@@ -95,8 +98,6 @@ public:
   /// What the optimizer did (pass counters all zero at opt level 0, where
   /// `*_before` and `*_after` both describe the raw lowering).
   [[nodiscard]] const optimizer_stats& opt_stats() const { return opt_stats_; }
-  /// Physical components in the tick program.
-  [[nodiscard]] std::size_t num_tick_ops() const { return tick_ops_.size(); }
   /// Scheduled depth (max level over all primary-output drivers).
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
   /// @}
@@ -106,7 +107,8 @@ public:
   /// Span of a data edge = level(consumer) - level(producer), constants
   /// excluded. Under a P-phase clock every wave stays coherent iff every
   /// edge span lies in [1, P] (DESIGN.md §2.2); `wave_coherent` is that
-  /// predicate. Packed execution requires it; the tick program does not.
+  /// predicate. Packed execution requires it; the cycle-accurate
+  /// `tick_program` does not.
   /// @{
   [[nodiscard]] std::uint32_t min_edge_span() const { return min_edge_span_; }
   [[nodiscard]] std::uint32_t max_edge_span() const { return max_edge_span_; }
@@ -180,16 +182,9 @@ public:
       const std::vector<std::uint64_t>& pi_words) const;
 
   /// @}
-  /// @name Tick program access (cycle-accurate wave simulation)
+  /// @name Clock metadata
   /// @{
 
-  [[nodiscard]] const std::vector<tick_op>& tick_ops() const { return tick_ops_; }
-  /// State slots of the tick program (one per network node).
-  [[nodiscard]] std::size_t tick_slot_count() const { return tick_slot_count_; }
-  /// Node slots of the primary inputs, in PI position order.
-  [[nodiscard]] const std::vector<std::uint32_t>& pi_slots() const { return pi_slots_; }
-  /// Per PO: reference into the tick state array.
-  [[nodiscard]] const std::vector<slot_ref>& po_refs() const { return po_refs_; }
   /// Per PO: scheduled level of the driver (0 for PIs and constants).
   [[nodiscard]] const std::vector<std::uint32_t>& po_levels() const { return po_levels_; }
   /// Per PO: true when driven by the constant node.
@@ -206,8 +201,8 @@ public:
 private:
   compiled_netlist() = default;
 
-  /// Lowers the network; a null schedule skips the tick program and
-  /// coherence metadata (comb_only mode).
+  /// Lowers the combinational program and the clock under `schedule`; a
+  /// null schedule leaves no clock (comb_only, or a balance plan's to come).
   void lower(const mig_network& net, const level_map* schedule);
 
   /// Runs the post-lowering optimizer over the combinational program
@@ -229,11 +224,7 @@ private:
   std::vector<maj_op> comb_ops_;
   std::vector<slot_ref> comb_po_refs_;
 
-  // Tick program: slot == node index.
-  std::uint32_t tick_slot_count_{0};
-  std::vector<tick_op> tick_ops_;
-  std::vector<std::uint32_t> pi_slots_;
-  std::vector<slot_ref> po_refs_;
+  // Clock metadata, per PO.
   std::vector<std::uint32_t> po_levels_;
   std::vector<bool> po_constant_;
 };

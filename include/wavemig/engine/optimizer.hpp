@@ -9,9 +9,10 @@ namespace wavemig::engine {
 /// after lowering (see compiled_netlist), plus a scenario tag and an FDM
 /// lane count that reach only the cache key and the clock metadata. Every
 /// opt level produces a program that is bit-identical in its primary
-/// outputs — the optimizer only touches the combinational program, never
-/// the cycle-accurate tick program, and no pass reorders ops — so the level
-/// is a pure compile-time / memory / throughput trade-off:
+/// outputs — the optimizer only touches the combinational program (the
+/// cycle-accurate `tick_program` is a separate type it never sees), and no
+/// pass reorders ops — so the level is a pure compile-time / memory /
+/// throughput trade-off:
 ///
 /// * `0` — raw lowering, exactly the ops the network dictates (one majority
 ///   op per majority node, buffers folded by reference forwarding).

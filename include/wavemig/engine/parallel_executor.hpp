@@ -175,11 +175,13 @@ struct session_stats {
 };
 
 /// Serving-style compiled-netlist cache: the first batch against a network
-/// balances it (`insert_buffers` with the session options) and lowers it
-/// once; every later batch against a structurally identical network reuses
-/// the cached program. Keyed by (network fingerprint, buffer strategy,
-/// phases), so one session can interleave requests against many circuits
-/// without re-lowering any of them.
+/// compiles the program of its balanced netlist (`insert_buffers` with the
+/// session options) once, without building a buffer — the gates of the
+/// unbalanced netlist, clocked by `plan_balance`; every later batch against
+/// a structurally identical network reuses the cached program. Keyed by
+/// (network fingerprint, buffer strategy, phases), so one session can
+/// interleave requests against many circuits without re-lowering any of
+/// them.
 ///
 /// Long-lived sessions can bound the cache with `cache_limits`: entries are
 /// evicted least-recently-used first whenever the entry or byte bound is
@@ -209,14 +211,27 @@ public:
   /// compiling on a miss and touching the LRU order on a hit. The returned
   /// reference keeps the program alive independently of any later eviction.
   ///
-  /// * `scenario` — null means none: a miss balances the network
-  ///   (`insert_buffers` with the session options) and the entry is
-  ///   untagged. Otherwise a miss runs the full scenario pipeline
-  ///   (wave_pipeline with this session's strategy and schedule and the
-  ///   scenario's fan-out limit and loss budget), the program carries the
-  ///   scenario fingerprint and FDM lane count in its compile options, and
-  ///   the key gains the scenario fingerprint — so the same netlist under
-  ///   two scenarios, or with and without one, occupies distinct entries.
+  /// A miss builds no balancing buffer. It lowers the unbalanced netlist and
+  /// takes depth, PO levels and edge spans from `plan_balance`, which gives
+  /// the program — comb ops, slots and clock metadata — that lowering the
+  /// balanced netlist would. Only the packed program is cached; the
+  /// cycle-accurate `tick_program` is never built here.
+  ///
+  /// * `scenario` — null means none: the miss plans `insert_buffers` with
+  ///   the session options, refusing exactly what it refuses (a tree under
+  ///   a fan-out limit too small for a driver throws std::invalid_argument,
+  ///   before anything is cached or counted), and the entry is untagged,
+  ///   equal to `compiled_netlist{b.net, b.schedule}` with
+  ///   `b = insert_buffers(net, options)`. Otherwise the miss runs
+  ///   wave_pipeline's fan-out restriction and loss budget
+  ///   (`prepare_for_balancing`, with this session's strategy and schedule
+  ///   and the scenario's fan-out limit and loss budget) and plans the
+  ///   balancing wave_pipeline would do (`balance_options`): the program
+  ///   equals `compiled_netlist{wave_pipeline(net, prep).net}`. It carries
+  ///   the scenario fingerprint and FDM lane count in its compile options,
+  ///   and the key gains the scenario fingerprint — so the same netlist
+  ///   under two scenarios, or with and without one, occupies distinct
+  ///   entries.
   /// * `opts` — per-program compile options; nullopt means the session's.
   ///   Every key carries the options fingerprint, so the same netlist at two
   ///   opt levels occupies two entries and can never cross-serve.

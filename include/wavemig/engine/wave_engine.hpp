@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "wavemig/engine/compiled_netlist.hpp"
+#include "wavemig/levels.hpp"
+#include "wavemig/mig.hpp"
 #include "wavemig/wave_simulator.hpp"
 
 namespace wavemig::engine {
@@ -156,13 +158,74 @@ struct packed_wave_result {
   [[nodiscard]] std::vector<std::vector<bool>> unpack() const;
 };
 
-/// Cycle-accurate wave simulation on the compiled tick program — the exact
-/// semantics of wavemig::run_waves (including wave interference on
-/// unbalanced netlists), minus the interpreter overhead: components are
-/// pre-bucketed into per-clock-phase firing lists and, when every edge
-/// advances at least one level per tick, updated in place in decreasing
-/// level order instead of snapshotting the full state every tick.
-wave_run_result run_waves(const compiled_netlist& net,
+/// The cycle-accurate program: every physical component of a netlist —
+/// majority gates, buffers and fan-out gates — with its scheduled level,
+/// preserving the semantics of wavemig::run_waves, including wave
+/// interference on unbalanced netlists. `engine::run_waves` is its only
+/// consumer, and `wavemig::run_waves` builds one per call from a netlist
+/// and its schedule; a packed `compiled_netlist` never carries one
+/// (buffers fold out of it). Immutable once built.
+class tick_program {
+public:
+  enum class op_kind : std::uint8_t { majority, copy };
+
+  /// Physical component. Fan-ins are `slot_ref`s into the per-node state
+  /// array (slot == node index).
+  struct op {
+    std::uint32_t target;
+    slot_ref a, b, c;     ///< copy ops use only `a`
+    std::uint32_t level;  ///< scheduled level (>= 1 for components)
+    op_kind kind;
+  };
+
+  /// Lowers every component of `net`, clocked by `schedule`. `fdm_lanes`
+  /// tags the clock metadata as compile_options::fdm_lanes does (logical
+  /// waves per physical slot); the simulation itself is lane-agnostic.
+  /// Throws std::invalid_argument if the schedule does not match the network.
+  tick_program(const mig_network& net, const level_map& schedule, unsigned fdm_lanes = 1);
+
+  [[nodiscard]] std::size_t num_pis() const { return pi_slots_.size(); }
+  [[nodiscard]] std::size_t num_pos() const { return po_refs_.size(); }
+  /// Components in firing order (node order).
+  [[nodiscard]] const std::vector<op>& ops() const { return ops_; }
+  [[nodiscard]] std::size_t num_ops() const { return ops_.size(); }
+  /// State slots (one per network node).
+  [[nodiscard]] std::size_t slot_count() const { return slot_count_; }
+  /// Node slots of the primary inputs, in PI position order.
+  [[nodiscard]] const std::vector<std::uint32_t>& pi_slots() const { return pi_slots_; }
+  /// Per PO: reference into the state array.
+  [[nodiscard]] const std::vector<slot_ref>& po_refs() const { return po_refs_; }
+  /// Per PO: scheduled level of the driver (0 for PIs and constants).
+  [[nodiscard]] const std::vector<std::uint32_t>& po_levels() const { return po_levels_; }
+  /// Per PO: true when driven by the constant node.
+  [[nodiscard]] const std::vector<bool>& po_constant() const { return po_constant_; }
+  /// Scheduled depth (max level over all primary-output drivers).
+  [[nodiscard]] std::uint32_t depth() const { return depth_; }
+  [[nodiscard]] unsigned fdm_lanes() const { return fdm_lanes_; }
+  /// True when every data edge advances at least one level, so components
+  /// can update in place instead of from a pre-tick snapshot.
+  [[nodiscard]] bool edges_advance() const { return edges_advance_; }
+
+private:
+  std::uint32_t slot_count_{0};
+  std::uint32_t depth_{0};
+  unsigned fdm_lanes_{1};
+  bool edges_advance_{true};
+  std::vector<op> ops_;
+  std::vector<std::uint32_t> pi_slots_;
+  std::vector<slot_ref> po_refs_;
+  std::vector<std::uint32_t> po_levels_;
+  std::vector<bool> po_constant_;
+};
+
+/// Cycle-accurate wave simulation on a tick program — the exact semantics
+/// of wavemig::run_waves (including wave interference on unbalanced
+/// netlists), minus the interpreter overhead: components are pre-bucketed
+/// into per-clock-phase firing lists and, when every edge advances at least
+/// one level per tick, updated in place in decreasing level order instead
+/// of snapshotting the full state every tick. Clock metadata comes from the
+/// same formulas as the packed path's (FDM lanes included).
+wave_run_result run_waves(const tick_program& program,
                           const std::vector<std::vector<bool>>& waves, unsigned phases);
 
 /// Packed wave-pipelined execution: 64 independent waves per 64-bit word

@@ -74,7 +74,9 @@ public:
   wire_client& operator=(wire_client&&) noexcept = default;
 
   /// Registers a program and returns the server-computed fingerprint for
-  /// subsequent 8-byte-header runs. Throws wire_error on refusal.
+  /// subsequent 8-byte-header runs. Throws wire_error on refusal, and
+  /// std::invalid_argument, before sending anything, when a name of `net`
+  /// cannot be written as `.mig` text (see io::write_mig).
   std::uint64_t register_program(const mig_network& net);
   std::uint64_t register_netlist(const std::string& mig_text);
 

@@ -126,4 +126,19 @@ struct pipeline_result {
 /// paper's Figs. 5, 7, 8 and Table II.
 pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& options = {});
 
+/// The first half of `wave_pipeline`: fan-out restriction, then the loss
+/// budget, under `options`, with their counters (`fogs_added`,
+/// `restriction_buffers_added`, `delayed_edges`, `repeater_buffers_added`,
+/// `max_attenuation_run`) written to `result`. Returns the netlist the flow
+/// balances next: `net` itself when neither pass runs, otherwise
+/// `result.net`, which then holds it.
+const mig_network& prepare_for_balancing(const mig_network& net,
+                                         const pipeline_options& options,
+                                         pipeline_result& result);
+
+/// The options `wave_pipeline` balances with: `strategy` and `schedule`,
+/// or capacity-aware trees under the effective fan-out limit when one is in
+/// effect and `respect_limit_in_buffers` holds.
+buffer_insertion_options balance_options(const pipeline_options& options);
+
 }  // namespace wavemig

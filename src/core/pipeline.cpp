@@ -6,17 +6,14 @@
 
 namespace wavemig {
 
-pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& options) {
-  pipeline_result result;
-  result.original_stats = compute_stats(net);
-  result.depth_before = result.original_stats.depth;
-
+const mig_network& prepare_for_balancing(const mig_network& net,
+                                         const pipeline_options& options,
+                                         pipeline_result& result) {
   const std::optional<unsigned> limit = options.fanout_limit.resolve(options.scenario);
 
   // Each pass rebuilds the network, so the input is only copied when no
   // pass runs: `current` points at the input until a pass owns a result.
   const mig_network* current = &net;
-  mig_network rebuilt;
 
   if (limit) {
     fanout_restriction_options fo;
@@ -26,8 +23,8 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
     result.fogs_added = restricted.fogs_added;
     result.restriction_buffers_added = restricted.buffers_added;
     result.delayed_edges = restricted.delayed_edges;
-    rebuilt = std::move(restricted.net);
-    current = &rebuilt;
+    result.net = std::move(restricted.net);
+    current = &result.net;
   }
 
   // Loss budget after restriction (repeaters are per-edge, so the limit is
@@ -41,22 +38,35 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
     auto regenerated = enforce_loss_budget(*current, lb);
     result.repeater_buffers_added = regenerated.repeaters_added;
     result.max_attenuation_run = regenerated.max_run_before;
-    rebuilt = std::move(regenerated.net);
-    current = &rebuilt;
+    result.net = std::move(regenerated.net);
+    current = &result.net;
   }
+  return *current;
+}
 
+buffer_insertion_options balance_options(const pipeline_options& options) {
+  buffer_insertion_options bi;
+  bi.strategy = options.strategy;
+  bi.schedule = options.schedule;
+  const std::optional<unsigned> limit = options.fanout_limit.resolve(options.scenario);
+  if (limit && options.respect_limit_in_buffers) {
+    bi.strategy = buffer_strategy::tree;
+    bi.fanout_limit = limit;
+  }
+  return bi;
+}
+
+pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& options) {
+  pipeline_result result;
+  result.original_stats = compute_stats(net);
+  result.depth_before = result.original_stats.depth;
+
+  const mig_network* current = &prepare_for_balancing(net, options, result);
   if (options.insert_buffers) {
-    buffer_insertion_options bi;
-    bi.strategy = options.strategy;
-    bi.schedule = options.schedule;
-    if (limit && options.respect_limit_in_buffers) {
-      bi.strategy = buffer_strategy::tree;
-      bi.fanout_limit = limit;
-    }
-    auto balanced = insert_buffers(*current, bi);
+    auto balanced = insert_buffers(*current, balance_options(options));
     result.balance_buffers_added = balanced.buffers_added;
-    rebuilt = std::move(balanced.net);
-    current = &rebuilt;
+    result.net = std::move(balanced.net);
+    current = &result.net;
   }
 
   // One set of ASAP levels of the final netlist serves the statistics and
@@ -67,8 +77,6 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
   result.wave_ready = check_wave_readiness(*current, levels, 0).ready;
   if (current == &net) {
     result.net = net;
-  } else {
-    result.net = std::move(rebuilt);
   }
   return result;
 }

@@ -15,9 +15,10 @@ namespace wavemig {
 
 namespace {
 
-// Validation lives in the engine layer: the compiled_netlist constructor
-// rejects a mismatched schedule, engine::run_waves checks phases and wave
-// widths, and wave_batch/run_waves_packed cover the packed path.
+// Validation lives in the engine layer: the tick_program and
+// compiled_netlist constructors reject a mismatched schedule,
+// engine::run_waves checks phases and wave widths, and
+// wave_batch/run_waves_packed cover the packed path.
 
 wave_run_result unpack_packed(const engine::packed_wave_result& packed) {
   wave_run_result result;
@@ -38,8 +39,8 @@ wave_run_result run_waves(const mig_network& net, const std::vector<std::vector<
 
 wave_run_result run_waves(const mig_network& net, const std::vector<std::vector<bool>>& waves,
                           unsigned phases, const level_map& schedule) {
-  const engine::compiled_netlist compiled{net, schedule};
-  return engine::run_waves(compiled, waves, phases);
+  const engine::tick_program program{net, schedule};
+  return engine::run_waves(program, waves, phases);
 }
 
 wave_run_result run_waves_packed(const mig_network& net,

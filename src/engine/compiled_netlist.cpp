@@ -90,6 +90,20 @@ compiled_netlist::compiled_netlist(const mig_network& net, const level_map& sche
   optimize();
 }
 
+compiled_netlist::compiled_netlist(const mig_network& net, const balance_plan& plan,
+                                   compile_options options) {
+  if (plan.schedule.level.size() != net.num_nodes() || plan.po_levels.size() != net.num_pos()) {
+    throw std::invalid_argument{"compiled_netlist: balance plan does not match the network"};
+  }
+  options_ = options;
+  lower(net, nullptr);
+  depth_ = plan.depth;
+  po_levels_ = plan.po_levels;
+  min_edge_span_ = plan.min_edge_span;
+  max_edge_span_ = plan.max_edge_span;
+  optimize();
+}
+
 compiled_netlist compiled_netlist::comb_only(const mig_network& net, compile_options options) {
   compiled_netlist compiled;
   compiled.options_ = options;
@@ -102,7 +116,6 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   num_pis_ = static_cast<std::uint32_t>(net.num_pis());
   num_pos_ = static_cast<std::uint32_t>(net.num_pos());
   depth_ = schedule != nullptr ? schedule->depth : 0;
-  tick_slot_count_ = static_cast<std::uint32_t>(net.num_nodes());
 
   // Combinational program: fold buffers/fan-out gates by reference
   // forwarding, so the hot loop touches majority gates only. `comb_ref[n]`
@@ -112,11 +125,6 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   comb_slot_count_ = 1 + num_pis_;  // slot 0 = constant, then the PIs
   comb_ops_.clear();
   comb_ops_.reserve(net.num_majorities());
-  tick_ops_.clear();
-  if (schedule != nullptr) {
-    tick_ops_.reserve(net.num_components());
-  }
-  pi_slots_.assign(num_pis_, 0);
 
   min_edge_span_ = std::numeric_limits<std::uint32_t>::max();
   max_edge_span_ = 0;
@@ -125,12 +133,9 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   const auto resolve = [&](signal s) -> slot_ref {
     return comb_ref[s.index()] ^ static_cast<slot_ref>(s.is_complemented());
   };
-  const auto tick_ref = [](signal s) -> slot_ref {
-    return (s.index() << 1u) | static_cast<slot_ref>(s.is_complemented());
-  };
   const auto note_edge = [&](node_index consumer, signal fanin) {
-    if (net.is_constant(fanin.index())) {
-      return;  // constant fan-ins carry no data wave
+    if (schedule == nullptr || net.is_constant(fanin.index())) {
+      return;  // no clock, or a constant fan-in, which carries no data wave
     }
     any_edge = true;
     const std::uint32_t consumer_level = (*schedule)[consumer];
@@ -146,34 +151,24 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
       case node_kind::constant:
         comb_ref[n] = 0;  // slot 0, regular edge
         break;
-      case node_kind::primary_input: {
-        const auto position = static_cast<std::uint32_t>(net.pi_position(n));
-        comb_ref[n] = (1 + position) << 1u;
-        pi_slots_[position] = n;
+      case node_kind::primary_input:
+        comb_ref[n] = (1 + static_cast<std::uint32_t>(net.pi_position(n))) << 1u;
         break;
-      }
       case node_kind::majority: {
         const auto fis = net.fanins(n);
         const std::uint32_t slot = comb_slot_count_++;
         comb_ops_.push_back({slot, resolve(fis[0]), resolve(fis[1]), resolve(fis[2])});
         comb_ref[n] = slot << 1u;
-        if (schedule != nullptr) {
-          tick_ops_.push_back({n, tick_ref(fis[0]), tick_ref(fis[1]), tick_ref(fis[2]),
-                               (*schedule)[n], tick_kind::majority});
-          note_edge(n, fis[0]);
-          note_edge(n, fis[1]);
-          note_edge(n, fis[2]);
-        }
+        note_edge(n, fis[0]);
+        note_edge(n, fis[1]);
+        note_edge(n, fis[2]);
         break;
       }
       case node_kind::buffer:
       case node_kind::fanout: {
         const signal in = net.fanins(n)[0];
         comb_ref[n] = resolve(in);
-        if (schedule != nullptr) {
-          tick_ops_.push_back({n, tick_ref(in), 0, 0, (*schedule)[n], tick_kind::copy});
-          note_edge(n, in);
-        }
+        note_edge(n, in);
         break;
       }
     }
@@ -188,13 +183,11 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   }
 
   comb_po_refs_.assign(num_pos_, 0);
-  po_refs_.assign(num_pos_, 0);
   po_levels_.assign(num_pos_, 0);
   po_constant_.assign(num_pos_, false);
   for (std::size_t p = 0; p < num_pos_; ++p) {
     const signal driver = net.po_signal(p);
     comb_po_refs_[p] = resolve(driver);
-    po_refs_[p] = tick_ref(driver);
     po_levels_[p] = schedule != nullptr ? (*schedule)[driver.index()] : 0;
     po_constant_[p] = net.is_constant(driver.index());
   }
@@ -203,7 +196,6 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
 std::size_t compiled_netlist::memory_bytes() const {
   const auto vec_bytes = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
   return sizeof(*this) + vec_bytes(comb_ops_) + vec_bytes(comb_po_refs_) +
-         vec_bytes(tick_ops_) + vec_bytes(pi_slots_) + vec_bytes(po_refs_) +
          vec_bytes(po_levels_) + (po_constant_.capacity() + 7) / 8;
 }
 

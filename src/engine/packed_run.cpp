@@ -83,7 +83,7 @@ void launch_sharded(const compiled_netlist& net, std::vector<packed_member> memb
 }
 
 void assemble(packed_wave_result& result, const compiled_netlist& net, unsigned phases) {
-  fill_clock_metrics(result, net, phases, result.num_waves);
+  fill_clock_metrics(result, net, net.options().fdm_lanes, phases, result.num_waves);
   const std::size_t tail = result.num_waves % 64;
   if (tail == 0 || result.words.empty()) {
     return;

@@ -23,18 +23,19 @@
 
 namespace wavemig::engine::detail {
 
-/// Clocking metadata shared by the cycle-accurate and packed paths; the
-/// formulas mirror the sampling schedule of the tick simulator exactly.
+/// Clocking metadata shared by the cycle-accurate and packed paths — the
+/// one copy of the formulas, for a `compiled_netlist` and a `tick_program`
+/// alike; they mirror the sampling schedule of the tick simulator exactly.
 /// Even a depth-0 (PI-to-PO) network carries one wave at a time.
-template <typename Result>
-void fill_clock_metrics(Result& result, const compiled_netlist& net, unsigned phases,
-                        std::size_t num_waves) {
-  const std::uint32_t depth = net.depth();
-  // FDM scenarios (compile_options::fdm_lanes > 1) carry several logical
-  // waves per physical conduit slot: wave w occupies slot w / lanes, and
-  // every physical wave in flight holds `lanes` logical ones. Metadata only
-  // — computed words are lane-independent.
-  const unsigned lanes = std::max(1u, net.options().fdm_lanes);
+template <typename Result, typename Program>
+void fill_clock_metrics(Result& result, const Program& program, unsigned fdm_lanes,
+                        unsigned phases, std::size_t num_waves) {
+  const std::uint32_t depth = program.depth();
+  // FDM scenarios (fdm_lanes > 1) carry several logical waves per physical
+  // conduit slot: wave w occupies slot w / lanes, and every physical wave in
+  // flight holds `lanes` logical ones. Metadata only — computed words are
+  // lane-independent.
+  const unsigned lanes = std::max(1u, fdm_lanes);
   result.initiation_interval = phases;
   result.latency_ticks = depth > 0 ? depth : 1;
   result.waves_in_flight = std::max<std::uint32_t>(1, (depth + phases - 1) / phases) * lanes;
@@ -44,11 +45,11 @@ void fill_clock_metrics(Result& result, const compiled_netlist& net, unsigned ph
   }
   std::uint64_t last_tick = 0;
   const std::uint64_t last_wave = (num_waves - 1) / lanes;
-  for (std::size_t p = 0; p < net.num_pos(); ++p) {
-    if (net.po_constant()[p]) {
+  for (std::size_t p = 0; p < program.num_pos(); ++p) {
+    if (program.po_constant()[p]) {
       continue;
     }
-    const std::uint32_t lvl = net.po_levels()[p];
+    const std::uint32_t lvl = program.po_levels()[p];
     last_tick = std::max(last_tick, last_wave * phases + (lvl > 0 ? lvl - 1 : 0));
   }
   result.ticks = last_tick + 1;

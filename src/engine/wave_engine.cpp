@@ -209,20 +209,67 @@ std::vector<std::vector<bool>> packed_wave_result::unpack() const {
 
 // --------------------------------------------------------- scalar path ---
 
-wave_run_result run_waves(const compiled_netlist& net,
+tick_program::tick_program(const mig_network& net, const level_map& schedule,
+                           unsigned fdm_lanes)
+    : slot_count_{static_cast<std::uint32_t>(net.num_nodes())},
+      depth_{schedule.depth},
+      fdm_lanes_{fdm_lanes} {
+  if (schedule.level.size() != net.num_nodes()) {
+    throw std::invalid_argument{"tick_program: schedule does not match the network"};
+  }
+  const auto ref = [](signal s) -> slot_ref {
+    return (s.index() << 1u) | static_cast<slot_ref>(s.is_complemented());
+  };
+  ops_.reserve(net.num_components());
+  pi_slots_.assign(net.num_pis(), 0);
+  net.foreach_node([&](node_index n) {
+    const auto fis = net.fanins(n);
+    for (const signal f : fis) {
+      // A custom schedule may contain an edge that does not advance.
+      if (!net.is_constant(f.index()) && schedule[n] <= schedule[f.index()]) {
+        edges_advance_ = false;
+      }
+    }
+    switch (net.kind(n)) {
+      case node_kind::constant:
+        break;
+      case node_kind::primary_input:
+        pi_slots_[net.pi_position(n)] = n;
+        break;
+      case node_kind::majority:
+        ops_.push_back({n, ref(fis[0]), ref(fis[1]), ref(fis[2]), schedule[n], op_kind::majority});
+        break;
+      case node_kind::buffer:
+      case node_kind::fanout:
+        ops_.push_back({n, ref(fis[0]), 0, 0, schedule[n], op_kind::copy});
+        break;
+    }
+  });
+  po_refs_.assign(net.num_pos(), 0);
+  po_levels_.assign(net.num_pos(), 0);
+  po_constant_.assign(net.num_pos(), false);
+  for (std::size_t p = 0; p < net.num_pos(); ++p) {
+    const signal driver = net.po_signal(p);
+    po_refs_[p] = ref(driver);
+    po_levels_[p] = schedule[driver.index()];
+    po_constant_[p] = net.is_constant(driver.index());
+  }
+}
+
+wave_run_result run_waves(const tick_program& program,
                           const std::vector<std::vector<bool>>& waves, unsigned phases) {
   if (phases == 0) {
     throw std::invalid_argument{"run_waves: at least one clock phase required"};
   }
   for (const auto& wave : waves) {
-    if (wave.size() != net.num_pis()) {
+    if (wave.size() != program.num_pis()) {
       throw std::invalid_argument{"run_waves: each wave needs one value per primary input"};
     }
   }
 
   wave_run_result result;
-  detail::fill_clock_metrics(result, net, phases, waves.size());
-  result.outputs.assign(waves.size(), std::vector<bool>(net.num_pos(), false));
+  detail::fill_clock_metrics(result, program, program.fdm_lanes(), phases, waves.size());
+  result.outputs.assign(waves.size(), std::vector<bool>(program.num_pos(), false));
   if (waves.empty()) {
     return result;
   }
@@ -233,11 +280,11 @@ wave_run_result run_waves(const compiled_netlist& net,
   // simulation loop — that would drop waves past the first physical slot.
   std::uint64_t last_tick = 0;
   const std::uint64_t final_wave = waves.size() - 1;
-  for (std::uint32_t p = 0; p < net.num_pos(); ++p) {
-    if (net.po_constant()[p]) {
+  for (std::uint32_t p = 0; p < program.num_pos(); ++p) {
+    if (program.po_constant()[p]) {
       continue;
     }
-    const std::uint32_t lvl = net.po_levels()[p];
+    const std::uint32_t lvl = program.po_levels()[p];
     last_tick = std::max(last_tick, final_wave * phases + (lvl > 0 ? lvl - 1 : 0));
   }
 
@@ -247,7 +294,7 @@ wave_run_result run_waves(const compiled_netlist& net,
   // spans >= 1 level, hence a consumer always updates before its producer
   // within the same tick. Only min(phases, max level) buckets can be
   // non-empty, so allocation stays bounded by the netlist, not by `phases`.
-  const auto& ops = net.tick_ops();
+  const auto& ops = program.ops();
   std::uint32_t max_level = 0;
   for (const auto& o : ops) {
     max_level = std::max(max_level, o.level);
@@ -267,7 +314,7 @@ wave_run_result run_waves(const compiled_netlist& net,
   }
   // A custom schedule may contain non-advancing edges; fall back to a full
   // pre-tick snapshot in that case to keep the semantics exact.
-  const bool in_place = net.min_edge_span() >= 1;
+  const bool in_place = program.edges_advance();
 
   // Per-tick PO sampling schedule, resolved once: output p (driver level
   // lvl) samples wave w at tick w * phases + start with start = lvl - 1, so
@@ -283,30 +330,29 @@ wave_run_result run_waves(const compiled_netlist& net,
   // `phases`: only residues up to the largest sampling start can be
   // occupied, so ticks beyond the bucket count simply sample nothing.
   std::uint64_t max_start = 0;
-  for (std::uint32_t p = 0; p < net.num_pos(); ++p) {
-    const std::uint32_t lvl = net.po_levels()[p];
+  for (std::uint32_t p = 0; p < program.num_pos(); ++p) {
+    const std::uint32_t lvl = program.po_levels()[p];
     max_start = std::max<std::uint64_t>(max_start, lvl > 0 ? lvl - 1 : 0);
   }
   std::vector<std::vector<po_sample>> sample_buckets(
       static_cast<std::size_t>(std::min<std::uint64_t>(phases, max_start + 1)));
-  for (std::uint32_t p = 0; p < net.num_pos(); ++p) {
-    if (net.po_constant()[p]) {
+  for (std::uint32_t p = 0; p < program.num_pos(); ++p) {
+    if (program.po_constant()[p]) {
       continue;
     }
-    const std::uint32_t lvl = net.po_levels()[p];
+    const std::uint32_t lvl = program.po_levels()[p];
     const std::uint64_t start = lvl > 0 ? lvl - 1 : 0;
-    sample_buckets[start % phases].push_back({p, start, net.po_refs()[p]});
+    sample_buckets[start % phases].push_back({p, start, program.po_refs()[p]});
   }
 
-  std::vector<std::uint8_t> value(net.tick_slot_count(), 0);
+  std::vector<std::uint8_t> value(program.slot_count(), 0);
   std::vector<std::uint8_t> snapshot;
 
   const auto read = [](const std::vector<std::uint8_t>& state, slot_ref ref) -> std::uint8_t {
     return state[ref >> 1] ^ static_cast<std::uint8_t>(ref & 1u);
   };
-  const auto apply = [&](const compiled_netlist::tick_op& o,
-                         const std::vector<std::uint8_t>& state) {
-    if (o.kind == compiled_netlist::tick_kind::majority) {
+  const auto apply = [&](const tick_program::op& o, const std::vector<std::uint8_t>& state) {
+    if (o.kind == tick_program::op_kind::majority) {
       const std::uint8_t a = read(state, o.a);
       const std::uint8_t b = read(state, o.b);
       const std::uint8_t c = read(state, o.c);
@@ -321,8 +367,8 @@ wave_run_result run_waves(const compiled_netlist& net,
     // value between injections).
     const std::uint64_t wave = t / phases;
     if (t % phases == 0 && wave < waves.size()) {
-      for (std::size_t i = 0; i < net.num_pis(); ++i) {
-        value[net.pi_slots()[i]] = static_cast<std::uint8_t>(waves[wave][i]);
+      for (std::size_t i = 0; i < program.num_pis(); ++i) {
+        value[program.pi_slots()[i]] = static_cast<std::uint8_t>(waves[wave][i]);
       }
     }
 
@@ -357,11 +403,11 @@ wave_run_result run_waves(const compiled_netlist& net,
   }
 
   // Constant-driven outputs are the same for every wave.
-  for (std::size_t p = 0; p < net.num_pos(); ++p) {
-    if (!net.po_constant()[p]) {
+  for (std::size_t p = 0; p < program.num_pos(); ++p) {
+    if (!program.po_constant()[p]) {
       continue;
     }
-    const bool v = (net.po_refs()[p] & 1u) != 0;
+    const bool v = (program.po_refs()[p] & 1u) != 0;
     for (auto& out : result.outputs) {
       out[p] = v;
     }

@@ -1,9 +1,12 @@
 #include "wavemig/io/mig_format.hpp"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <functional>
+#include <stdexcept>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "wavemig/io/text_util.hpp"
@@ -12,23 +15,97 @@ namespace wavemig::io {
 
 namespace {
 
-std::string node_name(const mig_network& net, node_index n) {
-  if (net.is_pi(n)) {
-    return net.pi_name(net.pi_position(n));
-  }
-  return "n" + std::to_string(n);
+/// Whitespace as `operator>>` splits tokens in the classic locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
 }
 
-std::string operand(const mig_network& net, signal s) {
-  if (net.is_constant(s.index())) {
-    return s.is_complemented() ? "1" : "0";
+/// A PI name reads back as itself when it is one whitespace-free token
+/// (`.inputs` splits on whitespace) without ',' (which splits operands)
+/// that no operand reads as a constant or a complement.
+bool writable_input(std::string_view name) {
+  return !name.empty() && name != "0" && name != "1" && !name.starts_with('!') &&
+         std::none_of(name.begin(), name.end(), [](char c) { return is_space(c) || c == ','; });
+}
+
+/// A PO name reads back when it is one whitespace-free token without '='
+/// (`.output <name> = <operand>` splits on the first one).
+bool writable_output(std::string_view name) {
+  return !name.empty() &&
+         std::none_of(name.begin(), name.end(), [](char c) { return is_space(c) || c == '='; });
+}
+
+/// Throws std::invalid_argument unless every name of `net` reads back.
+void check_writable(const mig_network& net, const std::string& model_name) {
+  if (model_name.find('\n') != std::string::npos) {
+    throw std::invalid_argument{"write_mig: the model name spans lines"};
   }
-  return (s.is_complemented() ? "!" : "") + node_name(net, s.index());
+  std::unordered_set<std::string_view> inputs;
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    const std::string& name = net.pi_name(i);
+    if (!writable_input(name)) {
+      throw std::invalid_argument{"write_mig: input name '" + name +
+                                  "' cannot be read back (empty, whitespace, ',', or read as "
+                                  "a constant or a complement)"};
+    }
+    if (!inputs.insert(name).second) {
+      throw std::invalid_argument{"write_mig: two inputs are named '" + name + "'"};
+    }
+  }
+  for (const auto& po : net.pos()) {
+    if (!writable_output(po.name)) {
+      throw std::invalid_argument{"write_mig: output name '" + po.name +
+                                  "' cannot be read back (empty, whitespace or '=')"};
+    }
+  }
+}
+
+/// Gate names are this prefix and the node index: `n`, followed by the
+/// fewest underscores that no PI name followed by digits alone uses, so no
+/// gate redefines an input.
+std::string gate_prefix(const mig_network& net) {
+  std::vector<bool> taken;
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    const std::string_view name = net.pi_name(i);
+    if (!name.starts_with('n')) {
+      continue;
+    }
+    const std::size_t digits = name.find_first_not_of('_', 1);
+    if (digits == std::string_view::npos ||
+        name.find_first_not_of("0123456789", digits) != std::string_view::npos) {
+      continue;
+    }
+    const std::size_t underscores = digits - 1;
+    if (taken.size() <= underscores) {
+      taken.resize(underscores + 1, false);
+    }
+    taken[underscores] = true;
+  }
+  const auto free = std::find(taken.begin(), taken.end(), false);
+  std::string prefix(1 + static_cast<std::size_t>(free - taken.begin()), '_');
+  prefix.front() = 'n';
+  return prefix;
 }
 
 }  // namespace
 
 void write_mig(const mig_network& net, std::ostream& os, const std::string& model_name) {
+  check_writable(net, model_name);
+  const std::string prefix = gate_prefix(net);
+  // Streams `node`'s name, then `[!]<name>`, `0` or `1` for a signal.
+  const auto node = [&](node_index n) -> std::ostream& {
+    return net.is_pi(n) ? os << net.pi_name(net.pi_position(n)) : os << prefix << n;
+  };
+  const auto operand = [&](signal s) -> std::ostream& {
+    if (net.is_constant(s.index())) {
+      return os << (s.is_complemented() ? '1' : '0');
+    }
+    if (s.is_complemented()) {
+      os << '!';
+    }
+    return node(s.index());
+  };
+
   os << "# wavemig netlist\n.model " << model_name << "\n.inputs";
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
     os << ' ' << net.pi_name(i);
@@ -39,15 +116,19 @@ void write_mig(const mig_network& net, std::ostream& os, const std::string& mode
     switch (net.kind(n)) {
       case node_kind::majority: {
         const auto fis = net.fanins(n);
-        os << node_name(net, n) << " = MAJ(" << operand(net, fis[0]) << ", "
-           << operand(net, fis[1]) << ", " << operand(net, fis[2]) << ")\n";
+        node(n) << " = MAJ(";
+        operand(fis[0]) << ", ";
+        operand(fis[1]) << ", ";
+        operand(fis[2]) << ")\n";
         break;
       }
       case node_kind::buffer:
-        os << node_name(net, n) << " = BUF(" << operand(net, net.fanins(n)[0]) << ")\n";
+        node(n) << " = BUF(";
+        operand(net.fanins(n)[0]) << ")\n";
         break;
       case node_kind::fanout:
-        os << node_name(net, n) << " = FOG(" << operand(net, net.fanins(n)[0]) << ")\n";
+        node(n) << " = FOG(";
+        operand(net.fanins(n)[0]) << ")\n";
         break;
       default:
         break;
@@ -55,7 +136,8 @@ void write_mig(const mig_network& net, std::ostream& os, const std::string& mode
   });
 
   for (const auto& po : net.pos()) {
-    os << ".output " << po.name << " = " << operand(net, po.driver) << '\n';
+    os << ".output " << po.name << " = ";
+    operand(po.driver) << '\n';
   }
 }
 
@@ -69,11 +151,6 @@ void write_mig_file(const mig_network& net, const std::string& path,
 }
 
 namespace {
-
-/// Whitespace as `operator>>` splits tokens in the classic locale.
-bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r';
-}
 
 /// Cuts the next whitespace-separated token off the front of `rest`; empty
 /// when none is left.
@@ -283,12 +360,17 @@ private:
 
   /// An operand `0`, `1` or `!<name>` never reads a symbol of that
   /// spelling, so a signal defined under one would silently be replaced by
-  /// a constant or a complement wherever it is used.
+  /// a constant or a complement wherever it is used; and operands split on
+  /// ',', so a name holding one could not be used as a gate's operand.
   void check_definable(std::string_view name) const {
     if (name == "0" || name == "1" || name.starts_with('!')) {
       throw parse_error{line_no_, "'" + std::string{name} +
                                       "' cannot name a signal: operands read it as a "
                                       "constant or a complement"};
+    }
+    if (name.find(',') != std::string_view::npos) {
+      throw parse_error{line_no_, "'" + std::string{name} +
+                                      "' cannot name a signal: operands split on ','"};
     }
   }
 

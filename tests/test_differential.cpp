@@ -30,6 +30,7 @@
 #include "wavemig/engine/serving.hpp"
 #include "wavemig/engine/wave_engine.hpp"
 #include "wavemig/gen/random_mig.hpp"
+#include "wavemig/gen/suite.hpp"
 #include "wavemig/io/blif.hpp"
 #include "wavemig/io/mig_format.hpp"
 #include "wavemig/pipeline.hpp"
@@ -353,8 +354,9 @@ TEST(differential, every_builtin_scenario_agrees_across_all_engine_paths) {
       ASSERT_TRUE(prepared.wave_ready) << what;
       const engine::compiled_netlist reference{prepared.net};
 
-      // Path 1 — cycle-accurate scalar simulation of the prepared program.
-      const auto scalar = engine::run_waves(reference, waves, 3);
+      // Path 1 — cycle-accurate scalar simulation of the prepared netlist.
+      const auto scalar = engine::run_waves(
+          engine::tick_program{prepared.net, compute_levels(prepared.net)}, waves, 3);
       // Path 2 — packed multi-word kernel on the same program.
       const auto packed = engine::run_waves_packed(reference, batch, 3);
       // Path 3 — sharded parallel run through the scenario-tagged cache.
@@ -411,6 +413,165 @@ TEST(differential, opt_levels_agree_across_all_engine_paths) {
       EXPECT_EQ(async.words, packed_ref.words) << what << ": serving";
       EXPECT_EQ(async.ticks, packed_ref.ticks) << what;
     }
+  }
+}
+
+// ---------------------------------------------- served vs built programs ---
+
+/// Asserts the served program (a session cache miss: the unbalanced netlist
+/// clocked by its balance plan) equals the built one (lowered from the
+/// balanced netlist): op by op, slots, clock metadata and options.
+void expect_same_program(const engine::compiled_netlist& served,
+                         const engine::compiled_netlist& built, const std::string& what) {
+  ASSERT_EQ(served.num_comb_ops(), built.num_comb_ops()) << what;
+  for (std::size_t i = 0; i < served.num_comb_ops(); ++i) {
+    const auto& s = served.comb_ops()[i];
+    const auto& b = built.comb_ops()[i];
+    ASSERT_TRUE(s.target == b.target && s.a == b.a && s.b == b.b && s.c == b.c)
+        << what << ": op " << i;
+  }
+  EXPECT_EQ(served.comb_slot_count(), built.comb_slot_count()) << what;
+  EXPECT_EQ(served.depth(), built.depth()) << what;
+  EXPECT_EQ(served.po_levels(), built.po_levels()) << what;
+  EXPECT_EQ(served.po_constant(), built.po_constant()) << what;
+  EXPECT_EQ(served.min_edge_span(), built.min_edge_span()) << what;
+  EXPECT_EQ(served.max_edge_span(), built.max_edge_span()) << what;
+  EXPECT_EQ(engine::options_fingerprint(served.options()),
+            engine::options_fingerprint(built.options()))
+      << what;
+}
+
+/// Asserts both programs run `waves` to the same words and clock, and, with
+/// an `oracle` (the tick program of the balanced netlist), to its outputs
+/// and clock as well.
+void expect_same_run(const engine::compiled_netlist& served, const engine::compiled_netlist& built,
+                     const engine::tick_program* oracle,
+                     const std::vector<std::vector<bool>>& waves, unsigned phases,
+                     const std::string& what) {
+  const auto batch = engine::wave_batch::from_waves(waves, built.num_pis());
+  const auto s = engine::run_waves_packed(served, batch, phases);
+  const auto b = engine::run_waves_packed(built, batch, phases);
+  EXPECT_EQ(s.words, b.words) << what;
+  EXPECT_EQ(s.ticks, b.ticks) << what;
+  EXPECT_EQ(s.latency_ticks, b.latency_ticks) << what;
+  EXPECT_EQ(s.waves_in_flight, b.waves_in_flight) << what;
+  if (oracle != nullptr) {
+    const auto t = engine::run_waves(*oracle, waves, phases);
+    EXPECT_EQ(b.unpack(), t.outputs) << what;
+    EXPECT_EQ(b.ticks, t.ticks) << what;
+    EXPECT_EQ(b.latency_ticks, t.latency_ticks) << what;
+    EXPECT_EQ(b.initiation_interval, t.initiation_interval) << what;
+    EXPECT_EQ(b.waves_in_flight, t.waves_in_flight) << what;
+  }
+}
+
+const schedule_policy all_schedules[] = {schedule_policy::asap, schedule_policy::alap,
+                                         schedule_policy::mid_slack};
+
+/// The served program of an untagged session is pinned to
+/// `compiled_netlist{b.net, b.schedule}` with `b = insert_buffers(net, opts)`
+/// over strategy x tolerance x schedule, on the circuits of the benchmark's
+/// `flow` workload.
+TEST(served_program, untagged_grid_matches_insert_buffers) {
+  engine::parallel_executor executor{1};
+  for (const std::string name : {"sasc", "hamming", "adder64", "barrel64", "max32x4", "revx",
+                                 "tv80", "fsm_ctrl", "mul16", "mac16", "systemcdes",
+                                 "des_area"}) {
+    const auto net = gen::build_benchmark(name);
+    const auto waves = random_waves(65, net.num_pis(), 0x5E7 + net.num_nodes());
+    for (const auto strategy : {buffer_strategy::chain, buffer_strategy::naive,
+                                buffer_strategy::tree}) {
+      for (const unsigned tolerance : {0u, 1u, 2u}) {
+        for (const auto schedule : all_schedules) {
+          const buffer_insertion_options opts{
+              .strategy = strategy, .schedule = schedule, .tolerance = tolerance};
+          const std::string what = name + ", strategy " +
+                                   std::to_string(static_cast<int>(strategy)) + ", tolerance " +
+                                   std::to_string(tolerance) + ", schedule " +
+                                   std::to_string(static_cast<int>(schedule));
+          // Spans reach tolerance + 1; a cell holds its wave for `phases`.
+          const unsigned phases = tolerance + 2;
+          engine::batch_session session{executor, opts};
+          const auto served = session.compile(net, phases);
+          const auto b = insert_buffers(net, opts);
+          const engine::compiled_netlist built{b.net, b.schedule};
+          expect_same_program(*served, built, what);
+          const engine::tick_program oracle{b.net, b.schedule};
+          expect_same_run(*served, built, &oracle, waves, phases, what);
+        }
+      }
+    }
+  }
+}
+
+/// A scenario program is pinned to `compiled_netlist{wave_pipeline(net,
+/// prep).net}`, tagged as the session tags it, for every built-in scenario
+/// on every suite circuit with the session's default options. The tick
+/// oracle costs ticks x components: on the four circuits whose pipelined
+/// netlists exceed `oracle_components` (mul32, diffeq1, mul64, rand_large)
+/// it would run for minutes, so there only the two packed programs are
+/// compared.
+TEST(served_program, scenario_programs_match_wave_pipeline) {
+  constexpr std::size_t oracle_components = 200'000;
+  engine::parallel_executor executor{1};
+  engine::batch_session session{executor};
+  for (const auto& name : gen::benchmark_names()) {
+    const auto net = gen::build_benchmark(name);
+    const auto waves = random_waves(65, net.num_pis(), 0x5CE + net.num_nodes());
+    for (const auto& scenario_name : tech_scenario::names()) {
+      const auto scenario = tech_scenario::by_name(scenario_name);
+      const std::string what = name + ", " + scenario_name;
+      const auto served = session.compile(net, 3, &scenario);
+      pipeline_options prep;
+      prep.scenario = scenario;
+      const auto balanced = wave_pipeline(net, prep).net;
+      const engine::compiled_netlist built{
+          balanced, {.scenario_fingerprint = scenario.fingerprint(),
+                     .fdm_lanes = scenario.fdm_lanes}};
+      expect_same_program(*served, built, what);
+      if (balanced.num_components() <= oracle_components) {
+        const engine::tick_program oracle{balanced, compute_levels(balanced), scenario.fdm_lanes};
+        expect_same_run(*served, built, &oracle, waves, 3, what);
+      } else {
+        expect_same_run(*served, built, nullptr, waves, 3, what);
+      }
+    }
+  }
+}
+
+TEST(served_program, constant_fed_components_keep_the_built_clock) {
+  // A buffer fed only by a constant (`read_mig` accepts `BUF(0)`) sits at
+  // level 1 under the ASAP levels a scenario program is clocked by, while
+  // alap and mid_slack schedule it higher, next to its deep consumer: there
+  // the plan's schedule is not the built program's clock.
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  const signal g1 = net.create_maj(a, b, c);
+  const signal g2 = net.create_maj(g1, a, !b);
+  const signal g3 = net.create_maj(g2, b, c);
+  const signal held = net.create_buffer(constant0);
+  net.create_po(net.create_maj(held, g3, !a));
+  net.create_po(g2);
+  const auto waves = random_waves(65, net.num_pis(), 0xB0F);
+  const auto scenario = tech_scenario::swd();
+
+  engine::parallel_executor executor{1};
+  for (const auto schedule : all_schedules) {
+    const std::string what = "schedule " + std::to_string(static_cast<int>(schedule));
+    engine::batch_session session{executor, {.schedule = schedule}};
+    const auto served = session.compile(net, 3, &scenario);
+    pipeline_options prep;
+    prep.scenario = scenario;
+    prep.schedule = schedule;
+    const auto balanced = wave_pipeline(net, prep).net;
+    const engine::compiled_netlist built{
+        balanced, {.scenario_fingerprint = scenario.fingerprint(), .fdm_lanes = 1}};
+    EXPECT_EQ(built.max_edge_span() > 1, schedule != schedule_policy::asap) << what;
+    expect_same_program(*served, built, what);
+    const engine::tick_program oracle{balanced, compute_levels(balanced)};
+    expect_same_run(*served, built, &oracle, waves, std::max(3u, built.max_edge_span()), what);
   }
 }
 

@@ -37,10 +37,48 @@ TEST(compiled_netlist, folds_identity_components_out_of_the_comb_program) {
 
   const engine::compiled_netlist compiled{balanced};
   EXPECT_EQ(compiled.num_comb_ops(), balanced.num_majorities());
-  EXPECT_EQ(compiled.num_tick_ops(), balanced.num_components());
   EXPECT_EQ(compiled.num_pis(), balanced.num_pis());
   EXPECT_EQ(compiled.num_pos(), balanced.num_pos());
   EXPECT_EQ(compiled.depth(), compute_levels(balanced).depth);
+
+  // The tick program keeps every physical component instead.
+  const engine::tick_program ticks{balanced, compute_levels(balanced)};
+  EXPECT_EQ(ticks.num_ops(), balanced.num_components());
+  EXPECT_EQ(ticks.depth(), compiled.depth());
+  EXPECT_EQ(ticks.po_levels(), compiled.po_levels());
+}
+
+/// True when `engine::run_waves` accepts a `Program` — false, rather than a
+/// compile error, for a type it does not.
+template <typename Program>
+concept runs_waves = requires(const Program& program,
+                              const std::vector<std::vector<bool>>& waves) {
+  engine::run_waves(program, waves, 3u);
+};
+
+TEST(tick_program, is_the_only_program_run_waves_accepts) {
+  // A compiled_netlist carries no tick program, and comb_only not even a
+  // clock (every PO level 0), so run_waves must refuse one at compile time
+  // rather than simulate it wrongly.
+  static_assert(runs_waves<engine::tick_program>);
+  static_assert(!runs_waves<engine::compiled_netlist>);
+  static_assert(!runs_waves<mig_network>);
+
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  net.create_po(net.create_maj(a, b, c));
+  const std::vector<std::vector<bool>> waves{{true, true, false}, {true, true, true}};
+  const auto run = engine::run_waves(engine::tick_program{net, compute_levels(net)}, waves, 3);
+  EXPECT_EQ(run.outputs, (std::vector<std::vector<bool>>{{true}, {true}}));
+}
+
+TEST(tick_program, validates_the_schedule) {
+  const auto net = gen::ripple_adder_circuit(4);
+  level_map bad_schedule;
+  bad_schedule.level.assign(net.num_nodes() - 1, 0);
+  EXPECT_THROW((engine::tick_program{net, bad_schedule}), std::invalid_argument);
 }
 
 TEST(compiled_netlist, eval_words_matches_interpreter) {

@@ -136,12 +136,17 @@ TEST(mig_format, error_redefinition) {
   expect_rejected_at(".inputs a b c\n1 = MAJ(a, b, c)\n.output f = 1\n", 2);
   expect_rejected_at(".inputs a b c\n0 = BUF(a)\n.output f = 0\n", 2);
   expect_rejected_at(".inputs a b c\n!n = FOG(a)\n.output f = !n\n", 2);
+  // Operands split on ',': such a name could feed an output, never a gate,
+  // and write_mig refuses it.
+  expect_rejected_at(".inputs a,b c\n.output f = a,b\n", 1);
+  expect_rejected_at(".inputs a b c\nx,y = BUF(a)\n.output f = x,y\n", 2);
 }
 
 TEST(mig_format, pi_named_like_a_literal_is_rejected_not_read_as_a_constant) {
-  // write_mig emits a PI's name verbatim, so MAJ(PI "1", b, c) becomes
-  // ".inputs 1 b c" and "MAJ(1, b, c)": read back, the operand would be
-  // the constant and the gate OR(b, c). The reader must refuse instead.
+  // Written verbatim, MAJ(PI "1", b, c) would become ".inputs 1 b c" and
+  // "MAJ(1, b, c)": read back, the operand would be the constant and the
+  // gate OR(b, c). The writer refuses the name, and the reader refuses the
+  // text it would have written.
   for (const std::string literal : {"0", "1"}) {
     mig_network net;
     const signal x = net.create_pi(literal);
@@ -149,10 +154,72 @@ TEST(mig_format, pi_named_like_a_literal_is_rejected_not_read_as_a_constant) {
     const signal c = net.create_pi("c");
     net.create_po(net.create_maj(x, b, c), "f");
     std::stringstream ss;
-    io::write_mig(net, ss);
-    ASSERT_NE(ss.str().find(".inputs " + literal + " b c\n"), std::string::npos) << ss.str();
-    EXPECT_THROW((void)io::read_mig(ss), io::parse_error) << "PI named " << literal;
+    EXPECT_THROW(io::write_mig(net, ss), std::invalid_argument) << "PI named " << literal;
+    std::stringstream verbatim{".inputs " + literal + " b c\nn4 = MAJ(" + literal +
+                               ", b, c)\n.output f = n4\n"};
+    EXPECT_THROW((void)io::read_mig(verbatim), io::parse_error) << "PI named " << literal;
   }
+}
+
+TEST(mig_format, gate_names_never_redefine_an_input) {
+  // Named n<index> too, gate 4 would redefine the PI "n4" on read-back, so
+  // the writer moves every gate name out of the inputs' way.
+  mig_network net;
+  const signal a = net.create_pi("n4");
+  const signal b = net.create_pi("n_5");
+  const signal c = net.create_pi("n");
+  const signal g = net.create_maj(a, b, c);
+  ASSERT_EQ(g.index(), 4u);
+  net.create_po(net.create_maj(g, a, !b), "f");
+  std::stringstream ss;
+  io::write_mig(net, ss);
+  EXPECT_NE(ss.str().find("n__4 = MAJ("), std::string::npos) << ss.str();
+  const auto back = io::read_mig(ss);
+  EXPECT_EQ(back.pi_name(0), "n4");
+  EXPECT_EQ(back.pi_name(1), "n_5");
+  EXPECT_EQ(back.pi_name(2), "n");
+  EXPECT_TRUE(functionally_equivalent(net, back));
+
+  // Without such an input, gate names stay n<index>.
+  std::stringstream plain;
+  io::write_mig(gen::multiplier_circuit(3), plain);
+  EXPECT_NE(plain.str().find("\nn"), std::string::npos);
+  EXPECT_EQ(plain.str().find("n_"), std::string::npos);
+}
+
+TEST(mig_format, names_the_grammar_cannot_carry_are_refused_before_writing) {
+  const auto refused = [](const mig_network& net, const std::string& model = "mig") {
+    std::stringstream ss;
+    EXPECT_THROW(io::write_mig(net, ss, model), std::invalid_argument);
+    EXPECT_TRUE(ss.str().empty()) << "wrote before refusing:\n" << ss.str();
+  };
+  const auto with_names = [](const std::string& x, const std::string& y,
+                             const std::string& out) {
+    mig_network net;
+    const signal a = net.create_pi(x);
+    const signal b = net.create_pi(y);
+    const signal c = net.create_pi("c");
+    net.create_po(net.create_maj(a, b, c), out);
+    return net;
+  };
+  refused(with_names("x y", "b", "f"));     // read back as two inputs
+  refused(with_names("x\ty", "b", "f"));
+  refused(with_names("a,b", "b", "f"));     // split into two operands
+  refused(with_names("!a", "b", "f"));      // read as a complement
+  refused(with_names("a", "a", "f"));       // duplicate input
+  refused(with_names("a", "b", "f g"));     // output name with a space
+  refused(with_names("a", "b", "f=g"));     // output name with '='
+  refused(with_names("a", "b", "f"), "m\n.inputs z");
+
+  // Everything else reads back, names included.
+  const auto odd = with_names("a(1)", "#b", "f,g!");
+  std::stringstream ss;
+  io::write_mig(odd, ss);
+  const auto back = io::read_mig(ss);
+  EXPECT_EQ(back.pi_name(0), "a(1)");
+  EXPECT_EQ(back.pi_name(1), "#b");
+  EXPECT_EQ(back.po_name(0), "f,g!");
+  EXPECT_TRUE(functionally_equivalent(odd, back));
 }
 
 TEST(mig_format, error_wrong_arity) {

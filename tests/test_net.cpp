@@ -387,6 +387,26 @@ TEST(wire_registry, register_echoes_the_structural_fingerprint) {
   EXPECT_THROW((void)client.register_netlist("x = WAT(a, b, c)\n"), net::wire_error);
 }
 
+TEST(wire_registry, any_writable_network_registers_and_the_rest_fail_locally) {
+  loopback_stack stack;
+  auto client = net::wire_client::connect(stack.server.port());
+
+  // An input named like a gate ("n4", node 4 being a gate) must not reach
+  // the server as a redefinition, which it would refuse as malformed.
+  mig_network net;
+  const signal a = net.create_pi("n4");
+  const signal b = net.create_pi("b");
+  const signal c = net.create_pi("c");
+  net.create_po(net.create_maj(net.create_maj(a, b, c), a, !b), "f");
+  EXPECT_EQ(client.register_program(net), engine::network_fingerprint(net));
+
+  // A name the text cannot carry is refused before anything is sent.
+  mig_network spaced;
+  spaced.create_po(spaced.create_pi("x y"), "f");
+  EXPECT_THROW((void)client.register_program(spaced), std::invalid_argument);
+  EXPECT_EQ(stack.server.num_programs(), 1u);
+}
+
 TEST(wire_registry, inline_netlists_register_and_echo_their_fingerprint) {
   loopback_stack stack;
   auto client = net::wire_client::connect(stack.server.port());

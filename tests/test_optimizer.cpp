@@ -225,6 +225,7 @@ TEST(optimizer, opt_levels_are_bit_identical_across_all_execution_paths) {
 
     const compiled_netlist baseline{balanced.net, balanced.schedule};
     const auto reference = engine::run_waves_packed(baseline, batch, phases);
+    const engine::tick_program ticks{balanced.net, balanced.schedule};
 
     for (const unsigned level : {0u, 1u, 2u}) {
       const compile_options copts{.opt_level = level};
@@ -243,9 +244,10 @@ TEST(optimizer, opt_levels_are_bit_identical_across_all_execution_paths) {
       EXPECT_EQ(async.words, reference.words) << "async, level " << level;
 
       // Scalar cycle-accurate path: the tick program is never optimized,
-      // but must still agree through the same compiled object.
-      const auto scalar = engine::run_waves(compiled, waves, phases);
+      // but must agree with the optimized packed program, clock included.
+      const auto scalar = engine::run_waves(ticks, waves, phases);
       EXPECT_EQ(scalar.outputs, packed.unpack()) << "scalar vs packed, level " << level;
+      EXPECT_EQ(scalar.ticks, packed.ticks) << "scalar vs packed, level " << level;
     }
   }
 }

@@ -367,10 +367,15 @@ TEST(fdm_metadata, lanes_compress_ticks_and_multiply_waves_in_flight) {
   EXPECT_LT(lanes.ticks, base.ticks);  // 130 waves in ceil(130/4) = 33 slots
 
   // The cycle-accurate simulator must still inject and sample every wave —
-  // the FDM tag compresses metadata, never the simulated tick span.
-  const auto scalar = engine::run_waves(fdm, waves, 3);
+  // the FDM tag compresses metadata, never the simulated tick span. The
+  // tick program carries the same lanes and shares the packed path's clock
+  // formulas, so its metadata matches the tagged packed run.
+  const engine::tick_program ticks{prepared, compute_levels(prepared), 4};
+  const auto scalar = engine::run_waves(ticks, waves, 3);
   EXPECT_EQ(base.unpack(), scalar.outputs);
   EXPECT_EQ(scalar.waves_in_flight, lanes.waves_in_flight);
+  EXPECT_EQ(scalar.ticks, lanes.ticks);
+  EXPECT_EQ(scalar.latency_ticks, lanes.latency_ticks);
 }
 
 // -------------------------------------------------- scenario program cache ---

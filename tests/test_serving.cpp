@@ -50,12 +50,39 @@ engine::wave_batch batch_for(const mig_network& net, std::size_t count, std::uin
                                         net.num_pis());
 }
 
-/// What the session caches for `net`: the balanced + lowered program's
-/// resident bytes. Sizing byte bounds from this keeps the tests independent
-/// of the lowering's memory layout.
+/// What the session caches for `net`: the resident bytes of the program a
+/// fresh session compiles. Sizing byte bounds from this keeps the tests
+/// independent of the lowering's memory layout.
 std::size_t program_bytes(const mig_network& net) {
-  const auto balanced = insert_buffers(net);
-  return engine::compiled_netlist{balanced.net, balanced.schedule}.memory_bytes();
+  engine::parallel_executor executor{1};
+  engine::batch_session fresh{executor};
+  return fresh.compile(net, 3)->memory_bytes();
+}
+
+/// One PI feeding three level-1 gates: more taps than a buffer tree of
+/// fan-out 2 can hang off its driver.
+mig_network overloaded_pi() {
+  mig_network net;
+  const signal u = net.create_pi("u");
+  const signal x = net.create_pi("x");
+  const signal y = net.create_pi("y");
+  net.create_po(net.create_maj(u, x, y));
+  net.create_po(net.create_maj(u, x, !y));
+  net.create_po(net.create_maj(u, !x, y));
+  return net;
+}
+
+const buffer_insertion_options narrow_trees{.strategy = buffer_strategy::tree,
+                                            .fanout_limit = 2};
+
+/// The message `insert_buffers` refuses `net` with under `options`.
+std::string refusal_of(const mig_network& net, const buffer_insertion_options& options) {
+  try {
+    (void)insert_buffers(net, options);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
 }
 
 engine::packed_wave_result packed_reference(const mig_network& net,
@@ -134,6 +161,27 @@ TEST(cache_eviction, byte_bound_is_a_hard_ceiling) {
     EXPECT_LE(stats.entries, 2u);
   }
   EXPECT_GT(session.stats().evictions, 0u);
+}
+
+TEST(cache_eviction, tree_capacity_refusal_caches_and_counts_nothing) {
+  // A cache miss builds no buffer, yet refuses exactly what insert_buffers
+  // refuses, with the same exception, before anything is cached or counted.
+  const auto net = overloaded_pi();
+  const std::string expected = refusal_of(net, narrow_trees);
+  ASSERT_FALSE(expected.empty());
+
+  engine::parallel_executor executor{2};
+  engine::batch_session session{executor, narrow_trees};
+  try {
+    (void)session.compile(net, 3);
+    ADD_FAILURE() << "compile accepted a netlist insert_buffers refuses";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}, expected);
+  }
+  const auto stats = session.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
 }
 
 TEST(cache_eviction, oversized_entry_is_evicted_but_still_serves) {
@@ -292,6 +340,40 @@ TEST(serving_session, errors_surface_through_future_and_callback) {
 
   // A failed request does not poison the session.
   EXPECT_EQ(serving.submit(net, batch_for(*net, 64, 2), 3).get().num_waves, 64u);
+}
+
+TEST(serving_session, tree_capacity_refusal_fails_only_its_request) {
+  const auto bad = std::make_shared<const mig_network>(overloaded_pi());
+  const std::string expected = refusal_of(*bad, narrow_trees);
+  ASSERT_FALSE(expected.empty());
+
+  engine::parallel_executor executor{2};
+  engine::serving_session serving{executor, narrow_trees};
+  auto refused = serving.submit(bad, batch_for(*bad, 64, 7), 3);
+  try {
+    (void)refused.get();
+    ADD_FAILURE() << "the session served a netlist insert_buffers refuses";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}, expected);
+  }
+  EXPECT_EQ(serving.stats().entries, 0u);
+  EXPECT_EQ(serving.stats().misses, 0u);
+
+  // The next valid request is served as usual.
+  mig_network good;
+  const signal a = good.create_pi();
+  const signal b = good.create_pi();
+  const signal c = good.create_pi();
+  good.create_po(good.create_maj(a, b, !c));
+  const auto shared = std::make_shared<const mig_network>(good);
+  const auto batch = batch_for(good, 64, 8);
+  const auto balanced = insert_buffers(good, narrow_trees);
+  const auto expected_words =
+      engine::run_waves_packed(engine::compiled_netlist{balanced.net, balanced.schedule}, batch, 3)
+          .words;
+  EXPECT_EQ(serving.submit(shared, batch, 3).get().words, expected_words);
+  EXPECT_EQ(serving.stats().misses, 1u);
+  EXPECT_EQ(serving.metrics().requests_failed, 1u);
 }
 
 TEST(serving_session, drain_close_and_submit_after_close) {
