@@ -120,7 +120,6 @@ private:
   /// Blocks until the response with `id` arrives: drains the stash once,
   /// then reads frames off the socket, stashing every other id.
   [[nodiscard]] wire_response receive_matching(std::uint64_t id);
-  [[nodiscard]] wire_response receive_from_socket();
 
   tcp_socket sock_;
   std::string host_;

@@ -2,13 +2,17 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "wavemig/engine/wave_engine.hpp"
 
 namespace wavemig::net {
+
+class tcp_socket;
 
 /// @name Wire protocol
 ///
@@ -20,11 +24,17 @@ namespace wavemig::net {
 /// copying — and result planes ship back the same way.
 ///
 /// Everything on the wire is little-endian (the native layout of every
-/// deployment target; big-endian hosts byteswap payload words in place via
-/// `words_to_wire` / `words_from_wire`).
+/// deployment target; big-endian hosts byteswap payload words as the codec
+/// reads and writes them).
 ///
 /// Connection handshake: each side sends `wire_magic` then `wire_version`
 /// (8 bytes) before any frame; a mismatch closes the connection.
+///
+/// This module is the wire codec: every frame field, length prefix and the
+/// preamble are read and written here and nowhere else. Each frame kind has
+/// one decoder, which reads from a byte span (`decode_*_body`) or straight
+/// off a connected socket (`read_request_frame`, `read_response`); both
+/// forms apply the same length checks and produce the same values.
 ///
 /// Frames are `u32 body_length` + body; `body[0]` is the `frame_kind`.
 ///
@@ -95,6 +105,22 @@ public:
   explicit protocol_error(const std::string& what) : std::runtime_error{what} {}
 };
 
+/// A request frame `read_request_frame` refused. `id()` is the frame's id
+/// once its fixed header was read, else 0. `in_sync()` says whether the
+/// rest of the frame was skipped; a length prefix of 0 or above the
+/// server's bound cannot be.
+class frame_error : public protocol_error {
+public:
+  frame_error(const std::string& what, std::uint64_t id, bool in_sync)
+      : protocol_error{what}, id_{id}, in_sync_{in_sync} {}
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+  [[nodiscard]] bool in_sync() const { return in_sync_; }
+
+private:
+  std::uint64_t id_;
+  bool in_sync_;
+};
+
 /// One run over the wire. `payload` is plane-major words exactly as
 /// `wave_batch::from_plane_words` adopts them.
 struct run_request {
@@ -162,11 +188,6 @@ public:
   [[nodiscard]] std::uint16_t u16() { return scalar<std::uint16_t>(); }
   [[nodiscard]] std::uint32_t u32() { return scalar<std::uint32_t>(); }
   [[nodiscard]] std::uint64_t u64() { return scalar<std::uint64_t>(); }
-  [[nodiscard]] std::string str(std::size_t n) {
-    const std::uint8_t* p = take(n);
-    return std::string{reinterpret_cast<const char*>(p), n};
-  }
-  [[nodiscard]] std::size_t remaining() const { return size_ - at_; }
 
 private:
   template <typename T>
@@ -185,49 +206,54 @@ private:
   std::size_t at_{0};
 };
 
-/// In-place byteswap of payload words on big-endian hosts; a no-op on
-/// little-endian ones. The transform is an involution, so one function
-/// serves both directions — these names just document intent.
-void words_to_wire(std::uint64_t* words, std::size_t count);
-inline void words_from_wire(std::uint64_t* words, std::size_t count) {
-  words_to_wire(words, count);
-}
-
 /// Frame prefix of a run request: the u32 length word plus the body up to
-/// (exclusive) the payload words. The caller writes `req.payload` (wire
-/// byte order) immediately after — zero-copy framing of the plane words.
+/// (exclusive) the payload words, which `write_frame` sends after it.
 [[nodiscard]] std::vector<std::uint8_t> encode_run_frame_prefix(const run_request& req);
 
 /// The complete register frame (length word included).
 [[nodiscard]] std::vector<std::uint8_t> encode_register_frame(const register_request& req);
 
-/// Frame prefix of a response (length word included). For `ok` responses
-/// the caller writes `resp.result.words` after the prefix; for error
-/// responses the prefix is the whole frame.
+/// Frame prefix of a response (length word included). An `ok` response's
+/// `result.words` follow it; an error response's prefix is the whole frame.
 [[nodiscard]] std::vector<std::uint8_t> encode_response_frame_prefix(const wire_response& resp);
 
-/// Decodes a run-request body (kind byte included) up to the payload
-/// words: fills every field but `payload` and returns the byte offset at
-/// which the payload words start. Throws protocol_error when lengths
-/// disagree with `size` or the payload tail is not a whole number of
-/// words.
+/// Writes the 8-byte preamble; `read_preamble` is true when the peer's
+/// matches it and throws socket_error when the peer closes first.
+void write_preamble(tcp_socket& sock);
+[[nodiscard]] bool read_preamble(tcp_socket& sock);
+
+/// Writes an encoded prefix, then `words` in wire order (a run payload or
+/// result planes). On little-endian hosts the words go out without a copy.
+void write_frame(tcp_socket& sock, std::span<const std::uint8_t> prefix,
+                 std::span<const std::uint64_t> words);
+
+/// The span forms of the decoders: each decodes a whole body, kind byte
+/// included, and throws protocol_error when a length disagrees with `size`
+/// (or, for runs, the payload is not a whole number of words).
+/// `decode_run_body` fills the payload too and returns its byte offset; an
+/// ok response must pass check_result_shape.
 [[nodiscard]] std::size_t decode_run_body(const std::uint8_t* body, std::size_t size,
                                           run_request& out);
-
-/// Decodes a register-request body (kind byte included).
 [[nodiscard]] register_request decode_register_body(const std::uint8_t* body, std::size_t size);
-
-/// Decodes a response body (kind byte included), payload words included
-/// (they are copied out of `body` — the client's read path reads them
-/// straight off the socket instead when it can). An ok response must pass
-/// check_result_shape.
 [[nodiscard]] wire_response decode_response_body(const std::uint8_t* body, std::size_t size);
+
+using request_frame = std::variant<run_request, register_request>;
+
+/// The socket forms: the same decoders read one frame off `sock`, each
+/// fixed header with one read_exact and each variable part straight into
+/// its final container (a run payload into the vector `submit_packed`
+/// adopts, result words into `result.words`). Both throw socket_error when
+/// the peer closes. `read_request_frame` throws frame_error on a frame it
+/// refuses; `read_response` throws protocol_error, after which the stream
+/// is in sync only if check_result_shape refused (the frame was read whole).
+[[nodiscard]] request_frame read_request_frame(tcp_socket& sock, std::size_t max_body_bytes);
+[[nodiscard]] wire_response read_response(tcp_socket& sock);
 
 /// Throws protocol_error unless a decoded ok result holds exactly `num_pos`
 /// planes of ceil(num_waves / 64) words with no bit set above `num_waves`:
 /// the response-side counterpart of the request checks in
-/// `wave_batch::from_plane_words` (tail_bits::reject). Both client decoders
-/// run it, so `output()`, `plane()` and `unpack()` never read past the
+/// `wave_batch::from_plane_words` (tail_bits::reject). The response decoder
+/// runs it, so `output()`, `plane()` and `unpack()` never read past the
 /// words. The check divides instead of multiplying, so a hostile
 /// `num_waves` cannot wrap it into accepting a short payload.
 void check_result_shape(const engine::packed_wave_result& result);

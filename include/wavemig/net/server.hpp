@@ -61,6 +61,8 @@ struct server_stats {
 /// Completion callbacks fire on executor workers and only enqueue the
 /// encoded response; the blocking socket write happens on the
 /// connection's writer thread, so a slow client never stalls a worker.
+/// A connection whose client hangs up releases its fd when its reader
+/// exits; the next accept (or shutdown) joins its threads.
 ///
 /// Policies mapped onto the serving layer:
 /// * priority byte and deadline_ms → `submit_options` (gulp order /
@@ -126,9 +128,15 @@ private:
   [[nodiscard]] std::shared_ptr<const mig_network> find_program(std::uint64_t fingerprint);
   /// Name → shared scenario, cached; throws unknown_technology_error.
   [[nodiscard]] std::shared_ptr<const tech_scenario> resolve_scenario(const std::string& name);
-  static void respond_status(const std::shared_ptr<connection>& conn, std::uint64_t id,
-                             wire_status status, const std::string& message);
-  void count_response(wire_status status);
+  /// Counts a response, then queues it on the connection's outbox; with
+  /// `release_inflight`, releases the request's in-flight slot in the same
+  /// critical section.
+  void respond(const std::shared_ptr<connection>& conn, wire_response resp,
+               bool release_inflight = false);
+  void refuse(const std::shared_ptr<connection>& conn, std::uint64_t id, wire_status status,
+              const std::string& message);
+  /// Joins the threads of connections whose reader has exited.
+  void reap();
 
   engine::serving_session& session_;
   server_options options_;
@@ -137,8 +145,11 @@ private:
   std::atomic<bool> draining_{false};
   std::atomic<bool> shut_down_{false};
 
-  mutable std::mutex mutex_;  // connections_, programs_, scenarios_, stats_
-  std::vector<std::shared_ptr<connection>> connections_;
+  // Guards connections_, closed_, programs_, scenarios_ and stats_, and is
+  // held to shut down or close a connection's fd.
+  mutable std::mutex mutex_;
+  std::vector<std::shared_ptr<connection>> connections_;  ///< open connections
+  std::vector<std::shared_ptr<connection>> closed_;       ///< fd closed, thread unjoined
   std::unordered_map<std::uint64_t, std::shared_ptr<const mig_network>> programs_;
   std::unordered_map<std::string, std::shared_ptr<const tech_scenario>> scenarios_;
   server_stats stats_;

@@ -1,7 +1,6 @@
 #include "wavemig/net/client.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 #include <thread>
 
@@ -9,29 +8,10 @@
 
 namespace wavemig::net {
 
-namespace {
-
-/// Responses are bounded by the result planes of one request, which the
-/// request itself bounded; anything past this is a corrupt stream.
-constexpr std::size_t max_response_bytes = std::size_t{1} << 30;
-
-}  // namespace
-
 tcp_socket wire_client::dial(const std::string& host, std::uint16_t port) {
   tcp_socket sock = tcp_socket::connect(host, port);
-  std::vector<std::uint8_t> preamble;
-  {
-    byte_writer w{preamble};
-    w.u32(wire_magic);
-    w.u32(wire_version);
-  }
-  sock.write_all(preamble.data(), preamble.size());
-  std::uint8_t echo[8];
-  if (!sock.read_exact(echo, sizeof echo)) {
-    throw socket_error{"wire: server closed during handshake"};
-  }
-  byte_reader r{echo, sizeof echo};
-  if (r.u32() != wire_magic || r.u32() != wire_version) {
+  write_preamble(sock);
+  if (!read_preamble(sock)) {
     throw protocol_error{"wire: server preamble mismatch"};
   }
   return sock;
@@ -65,28 +45,14 @@ void wire_client::reconnect() {
 }
 
 void wire_client::write_request(const run_request& req) {
-  const auto prefix = encode_run_frame_prefix(req);
-  sock_.write_all(prefix.data(), prefix.size());
-  if (req.payload.empty()) {
-    return;
-  }
-  if constexpr (std::endian::native == std::endian::little) {
-    // Wire order is native order: the tracked payload goes out as-is, no
-    // copy, and stays intact for the next replay.
-    sock_.write_all(req.payload.data(), req.payload.size() * sizeof(std::uint64_t));
-  } else {
-    std::vector<std::uint64_t> wire_words = req.payload;
-    words_to_wire(wire_words.data(), wire_words.size());
-    sock_.write_all(wire_words.data(), wire_words.size() * sizeof(std::uint64_t));
-  }
+  write_frame(sock_, encode_run_frame_prefix(req), req.payload);
 }
 
 std::uint64_t wire_client::register_netlist(const std::string& mig_text) {
   register_request req;
   req.id = next_id_++;
   req.netlist = mig_text;
-  const auto frame = encode_register_frame(req);
-  sock_.write_all(frame.data(), frame.size());
+  write_frame(sock_, encode_register_frame(req), {});
   wire_response resp = receive_matching(req.id);
   if (resp.status != wire_status::ok) {
     throw wire_error{resp.status, resp.message};
@@ -104,12 +70,7 @@ std::uint64_t wire_client::send(run_request req) {
   if (req.id == 0) {
     req.id = next_id_++;
   }
-  const auto prefix = encode_run_frame_prefix(req);
-  sock_.write_all(prefix.data(), prefix.size());
-  if (!req.payload.empty()) {
-    words_to_wire(req.payload.data(), req.payload.size());
-    sock_.write_all(req.payload.data(), req.payload.size() * sizeof(std::uint64_t));
-  }
+  write_request(req);
   return req.id;
 }
 
@@ -119,7 +80,7 @@ wire_response wire_client::receive() {
     stashed_.pop_front();
     return resp;
   }
-  return receive_from_socket();
+  return read_response(sock_);
 }
 
 wire_response wire_client::receive_matching(std::uint64_t id) {
@@ -134,7 +95,7 @@ wire_response wire_client::receive_matching(std::uint64_t id) {
     }
   }
   for (;;) {
-    wire_response resp = receive_from_socket();
+    wire_response resp = read_response(sock_);
     if (resp.id == id) {
       return resp;
     }
@@ -142,86 +103,10 @@ wire_response wire_client::receive_matching(std::uint64_t id) {
   }
 }
 
-wire_response wire_client::receive_from_socket() {
-  std::uint8_t len_bytes[4];
-  if (!sock_.read_exact(len_bytes, sizeof len_bytes)) {
-    throw socket_error{"wire: connection closed"};
-  }
-  byte_reader len_reader{len_bytes, sizeof len_bytes};
-  const std::uint32_t body_len = len_reader.u32();
-  if (body_len < response_fixed_bytes || body_len > max_response_bytes) {
-    throw protocol_error{"wire: response length out of bounds"};
-  }
-
-  std::uint8_t fixed[response_fixed_bytes];
-  if (!sock_.read_exact(fixed, sizeof fixed)) {
-    throw socket_error{"wire: connection closed mid-response"};
-  }
-  byte_reader r{fixed, sizeof fixed};
-  if (r.u8() != static_cast<std::uint8_t>(frame_kind::response)) {
-    throw protocol_error{"wire: expected a response frame"};
-  }
-  wire_response resp;
-  resp.id = r.u64();
-  const std::uint8_t status = r.u8();
-  if (status > static_cast<std::uint8_t>(wire_status::watchdog_expired)) {
-    throw protocol_error{"wire: unknown response status"};
-  }
-  resp.status = static_cast<wire_status>(status);
-  const std::size_t rest = body_len - response_fixed_bytes;
-
-  if (resp.status == wire_status::ok) {
-    if (rest < response_ok_extra_bytes ||
-        (rest - response_ok_extra_bytes) % sizeof(std::uint64_t) != 0) {
-      throw protocol_error{"wire: ok response lengths disagree"};
-    }
-    std::uint8_t extra[response_ok_extra_bytes];
-    if (!sock_.read_exact(extra, sizeof extra)) {
-      throw socket_error{"wire: connection closed mid-response"};
-    }
-    byte_reader er{extra, sizeof extra};
-    resp.fingerprint = er.u64();
-    resp.result.num_waves = static_cast<std::size_t>(er.u64());
-    resp.result.num_pos = er.u32();
-    resp.result.ticks = er.u64();
-    resp.result.latency_ticks = er.u32();
-    resp.result.initiation_interval = er.u32();
-    resp.result.waves_in_flight = er.u32();
-    // Result planes land directly in the packed_wave_result's own vector —
-    // the client-side half of the zero-copy story.
-    const std::size_t words = (rest - response_ok_extra_bytes) / sizeof(std::uint64_t);
-    resp.result.words.resize(words);
-    if (words > 0 && !sock_.read_exact(resp.result.words.data(),
-                                       words * sizeof(std::uint64_t))) {
-      throw socket_error{"wire: connection closed mid-response"};
-    }
-    words_from_wire(resp.result.words.data(), words);
-    check_result_shape(resp.result);
-  } else {
-    if (rest < 4) {
-      throw protocol_error{"wire: error response lengths disagree"};
-    }
-    std::uint8_t msg_len_bytes[4];
-    if (!sock_.read_exact(msg_len_bytes, sizeof msg_len_bytes)) {
-      throw socket_error{"wire: connection closed mid-response"};
-    }
-    byte_reader mr{msg_len_bytes, sizeof msg_len_bytes};
-    const std::uint32_t msg_len = mr.u32();
-    if (msg_len != rest - 4) {
-      throw protocol_error{"wire: error response lengths disagree"};
-    }
-    resp.message.resize(msg_len);
-    if (msg_len > 0 && !sock_.read_exact(resp.message.data(), msg_len)) {
-      throw socket_error{"wire: connection closed mid-response"};
-    }
-  }
-  return resp;
-}
-
 wire_response wire_client::run(run_request req) {
   if (policy_.max_attempts <= 1) {
-    // Non-retrying fast path: identical to the pre-policy client, payload
-    // swapped to wire order in place — no tracking copy exists.
+    // Non-retrying fast path: identical to the pre-policy client — no
+    // tracking copy of the request exists.
     const std::uint64_t id = send(std::move(req));
     return receive_matching(id);
   }

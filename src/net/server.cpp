@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <sstream>
+#include <tuple>
 
 #include "wavemig/fault/fault_injection.hpp"
 #include "wavemig/io/mig_format.hpp"
@@ -13,13 +14,24 @@ namespace wavemig::net {
 
 namespace {
 
-[[nodiscard]] std::vector<std::uint8_t> encode_preamble() {
-  std::vector<std::uint8_t> out;
-  out.reserve(8);
-  byte_writer w{out};
-  w.u32(wire_magic);
-  w.u32(wire_version);
-  return out;
+/// The wire status and message of an exception the serving layer threw
+/// from submit_packed or handed to a completion callback.
+[[nodiscard]] std::pair<wire_status, std::string> classify(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const engine::deadline_expired_error& e) {
+    return {wire_status::deadline_expired, e.what()};
+  } catch (const engine::admission_rejected_error& e) {
+    return {wire_status::admission_rejected, e.what()};
+  } catch (const engine::session_closed_error& e) {
+    return {wire_status::draining, e.what()};
+  } catch (const std::invalid_argument& e) {  // invalid_request_error included
+    return {wire_status::invalid_request, e.what()};
+  } catch (const std::exception& e) {
+    return {wire_status::internal_error, e.what()};
+  } catch (...) {
+    return {wire_status::internal_error, "unknown exception"};
+  }
 }
 
 }  // namespace
@@ -75,27 +87,24 @@ void wire_server::shutdown() {
   if (accept_thread_.joinable()) {
     accept_thread_.join();
   }
-  std::vector<std::shared_ptr<connection>> connections;
+  // Read-side only: each reader unblocks and exits, then waits for its
+  // connection's in-flight requests, whose responses the writer still
+  // flushes down the intact write side — no accepted request's response is
+  // ever dropped. Under mutex_, so no reader closes the fd meanwhile.
+  std::vector<std::shared_ptr<connection>> open;
   {
     std::lock_guard<std::mutex> lock{mutex_};
-    connections = connections_;
+    open = connections_;
+    for (const auto& conn : open) {
+      conn->sock.shutdown_read();
+    }
   }
-  for (const auto& conn : connections) {
-    // Read-side only: the reader unblocks and exits, then waits for the
-    // connection's in-flight requests, whose responses the writer still
-    // flushes down the intact write side — no accepted request's response
-    // is ever dropped.
-    conn->sock.shutdown_read();
-  }
-  for (const auto& conn : connections) {
+  for (const auto& conn : open) {
     if (conn->reader.joinable()) {
       conn->reader.join();  // the reader joins its writer before returning
     }
   }
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    connections_.clear();
-  }
+  reap();
   // The watchdog joins *after* the readers: a reader's final flush waits
   // for inflight == 0, and when a completion was lost it is the watchdog
   // that expires the request and releases that count.
@@ -142,15 +151,8 @@ void wire_server::watchdog_loop() {
     }
     lock.unlock();
     for (const auto& entry : expired) {
-      // Stats first: once the client can observe the watchdog_expired
-      // response, stats() must already account for it.
-      {
-        std::lock_guard<std::mutex> stats_lock{mutex_};
-        ++stats_.requests_refused;
-        ++stats_.requests_watchdog_expired;
-      }
-      respond_status(entry.conn, entry.id, wire_status::watchdog_expired,
-                     "request exceeded the server watchdog bound");
+      refuse(entry.conn, entry.id, wire_status::watchdog_expired,
+             "request exceeded the server watchdog bound");
       {
         std::lock_guard<std::mutex> conn_lock{entry.conn->mutex};
         --entry.conn->inflight;
@@ -177,6 +179,7 @@ void wire_server::accept_loop() {
     if (!sock.valid()) {
       return;  // listener closed
     }
+    reap();
     auto conn = std::make_shared<connection>();
     conn->sock = std::move(sock);
     {
@@ -214,12 +217,7 @@ void wire_server::writer_loop(const std::shared_ptr<connection>& conn) {
       continue;  // client is gone; keep draining queued responses cheaply
     }
     try {
-      conn->sock.write_all(out.prefix.data(), out.prefix.size());
-      if (!out.words.empty()) {
-        words_to_wire(out.words.data(), out.words.size());
-        conn->sock.write_all(out.words.data(),
-                             out.words.size() * sizeof(std::uint64_t));
-      }
+      write_frame(conn->sock, out.prefix, out.words);
     } catch (const socket_error&) {
       std::lock_guard<std::mutex> lock{conn->mutex};
       conn->write_failed = true;
@@ -227,27 +225,51 @@ void wire_server::writer_loop(const std::shared_ptr<connection>& conn) {
   }
 }
 
-void wire_server::respond_status(const std::shared_ptr<connection>& conn, std::uint64_t id,
-                                 wire_status status, const std::string& message) {
-  wire_response resp;
-  resp.id = id;
-  resp.status = status;
-  resp.message = message;
-  connection::outgoing out;
-  out.prefix = encode_response_frame_prefix(resp);
+void wire_server::respond(const std::shared_ptr<connection>& conn, wire_response resp,
+                          bool release_inflight) {
+  // Stats first: once the client can observe the response, stats() must
+  // already account for it.
+  {
+    std::lock_guard<std::mutex> lock{mutex_};
+    if (resp.status == wire_status::ok) {
+      ++stats_.requests_ok;
+    } else {
+      ++stats_.requests_refused;
+      if (resp.status == wire_status::watchdog_expired) {
+        ++stats_.requests_watchdog_expired;  // only the watchdog answers so
+      }
+    }
+  }
+  connection::outgoing out{encode_response_frame_prefix(resp), std::move(resp.result.words)};
   {
     std::lock_guard<std::mutex> lock{conn->mutex};
     conn->outbox.push_back(std::move(out));
+    if (release_inflight) {
+      --conn->inflight;
+    }
   }
   conn->cv.notify_all();
 }
 
-void wire_server::count_response(wire_status status) {
-  std::lock_guard<std::mutex> lock{mutex_};
-  if (status == wire_status::ok) {
-    ++stats_.requests_ok;
-  } else {
-    ++stats_.requests_refused;
+void wire_server::refuse(const std::shared_ptr<connection>& conn, std::uint64_t id,
+                         wire_status status, const std::string& message) {
+  wire_response resp;
+  resp.id = id;
+  resp.status = status;
+  resp.message = message;
+  respond(conn, std::move(resp));
+}
+
+void wire_server::reap() {
+  std::vector<std::shared_ptr<connection>> closed;
+  {
+    std::lock_guard<std::mutex> lock{mutex_};
+    closed.swap(closed_);
+  }
+  for (const auto& conn : closed) {
+    if (conn->reader.joinable()) {
+      conn->reader.join();  // already returned, or about to
+    }
   }
 }
 
@@ -290,35 +312,25 @@ std::shared_ptr<const tech_scenario> wire_server::resolve_scenario(const std::st
 void wire_server::serve_register(const std::shared_ptr<connection>& conn,
                                  const register_request& req) {
   if (draining_.load(std::memory_order_relaxed)) {
-    respond_status(conn, req.id, wire_status::draining, "server is draining");
-    count_response(wire_status::draining);
+    refuse(conn, req.id, wire_status::draining, "server is draining");
     return;
   }
+  wire_response resp;
+  resp.id = req.id;
   try {
     const auto [fp, net] = register_netlist(req.netlist);
-    wire_response resp;
-    resp.id = req.id;
-    resp.status = wire_status::ok;
     resp.fingerprint = fp;
     resp.result.num_pos = net->num_pos();
-    connection::outgoing out;
-    out.prefix = encode_response_frame_prefix(resp);
-    {
-      std::lock_guard<std::mutex> lock{conn->mutex};
-      conn->outbox.push_back(std::move(out));
-    }
-    conn->cv.notify_all();
-    count_response(wire_status::ok);
   } catch (const std::exception& e) {
-    respond_status(conn, req.id, wire_status::invalid_request, e.what());
-    count_response(wire_status::invalid_request);
+    refuse(conn, req.id, wire_status::invalid_request, e.what());
+    return;
   }
+  respond(conn, std::move(resp));
 }
 
 void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request req) {
   if (draining_.load(std::memory_order_relaxed)) {
-    respond_status(conn, req.id, wire_status::draining, "server is draining");
-    count_response(wire_status::draining);
+    refuse(conn, req.id, wire_status::draining, "server is draining");
     return;
   }
 
@@ -332,16 +344,14 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
       // register round-trip.
       req.fingerprint = fp;
     } catch (const std::exception& e) {
-      respond_status(conn, req.id, wire_status::invalid_request, e.what());
-      count_response(wire_status::invalid_request);
+      refuse(conn, req.id, wire_status::invalid_request, e.what());
       return;
     }
   } else {
     net = find_program(req.fingerprint);
     if (!net) {
-      respond_status(conn, req.id, wire_status::unknown_program,
-                     "fingerprint not registered (register the program or inline the netlist)");
-      count_response(wire_status::unknown_program);
+      refuse(conn, req.id, wire_status::unknown_program,
+             "fingerprint not registered (register the program or inline the netlist)");
       return;
     }
   }
@@ -349,11 +359,9 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
   // header that declares another PI count would be served under the
   // program's: refuse it before submitting.
   if (req.num_pis != net->num_pis()) {
-    respond_status(conn, req.id, wire_status::invalid_request,
-                   "run header declares " + std::to_string(req.num_pis) +
-                       " primary inputs; the program has " +
-                       std::to_string(net->num_pis()));
-    count_response(wire_status::invalid_request);
+    refuse(conn, req.id, wire_status::invalid_request,
+           "run header declares " + std::to_string(req.num_pis) +
+               " primary inputs; the program has " + std::to_string(net->num_pis()));
     return;
   }
 
@@ -369,8 +377,7 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
     try {
       opts.scenario = resolve_scenario(req.scenario);
     } catch (const unknown_technology_error& e) {
-      respond_status(conn, req.id, wire_status::unknown_scenario, e.what());
-      count_response(wire_status::unknown_scenario);
+      refuse(conn, req.id, wire_status::unknown_scenario, e.what());
       return;
     }
   }
@@ -389,24 +396,13 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
     watched_.push_back(watch_entry{
         conn, id, std::chrono::steady_clock::now() + options_.watchdog_bound, settled});
   }
-  auto retire = [conn](wire_response resp) {
-    connection::outgoing out;
-    out.prefix = encode_response_frame_prefix(resp);
-    out.words = std::move(resp.result.words);
-    {
-      std::lock_guard<std::mutex> lock{conn->mutex};
-      conn->outbox.push_back(std::move(out));
-      --conn->inflight;
-    }
-    conn->cv.notify_all();
-  };
   try {
     const std::uint64_t fingerprint = req.fingerprint;
     session_.submit_packed(
         std::move(net), std::move(req.payload), static_cast<std::size_t>(req.num_waves),
         req.phases,
-        [this, conn, id, fingerprint, retire, settled](engine::packed_wave_result result,
-                                                       std::exception_ptr error) {
+        [this, conn, id, fingerprint, settled](engine::packed_wave_result result,
+                                               std::exception_ptr error) {
           if (settled && settled->exchange(true, std::memory_order_acq_rel)) {
             // The watchdog already answered (and released the inflight
             // count) for this request; the late result is discarded.
@@ -415,31 +411,15 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
           wire_response resp;
           resp.id = id;
           resp.fingerprint = fingerprint;
-          if (!error) {
-            resp.status = wire_status::ok;
-            resp.result = std::move(result);
+          if (error) {
+            std::tie(resp.status, resp.message) = classify(error);
           } else {
-            try {
-              std::rethrow_exception(error);
-            } catch (const engine::deadline_expired_error& e) {
-              resp.status = wire_status::deadline_expired;
-              resp.message = e.what();
-            } catch (const engine::invalid_request_error& e) {
-              resp.status = wire_status::invalid_request;
-              resp.message = e.what();
-            } catch (const std::invalid_argument& e) {
-              resp.status = wire_status::invalid_request;
-              resp.message = e.what();
-            } catch (const std::exception& e) {
-              resp.status = wire_status::internal_error;
-              resp.message = e.what();
-            }
+            resp.result = std::move(result);
           }
-          count_response(resp.status);
-          retire(std::move(resp));
+          respond(conn, std::move(resp), /*release_inflight=*/true);
         },
         std::move(opts));
-  } catch (const engine::admission_rejected_error& e) {
+  } catch (...) {
     if (settled && settled->exchange(true, std::memory_order_acq_rel)) {
       return;  // the watchdog answered first; it already released inflight
     }
@@ -447,28 +427,8 @@ void wire_server::serve_run(const std::shared_ptr<connection>& conn, run_request
       std::lock_guard<std::mutex> lock{conn->mutex};
       --conn->inflight;
     }
-    respond_status(conn, id, wire_status::admission_rejected, e.what());
-    count_response(wire_status::admission_rejected);
-  } catch (const engine::session_closed_error& e) {
-    if (settled && settled->exchange(true, std::memory_order_acq_rel)) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock{conn->mutex};
-      --conn->inflight;
-    }
-    respond_status(conn, id, wire_status::draining, e.what());
-    count_response(wire_status::draining);
-  } catch (const std::exception& e) {
-    if (settled && settled->exchange(true, std::memory_order_acq_rel)) {
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock{conn->mutex};
-      --conn->inflight;
-    }
-    respond_status(conn, id, wire_status::internal_error, e.what());
-    count_response(wire_status::internal_error);
+    const auto [status, message] = classify(std::current_exception());
+    refuse(conn, id, status, message);
   }
 }
 
@@ -477,34 +437,13 @@ void wire_server::reader_loop(const std::shared_ptr<connection>& conn) {
   // before any frame is read, hence before any response can exist — so the
   // writer thread never races this write.
   bool alive = false;
-  std::uint8_t preamble[8];
-  if (conn->sock.read_exact(preamble, sizeof preamble)) {
-    byte_reader r{preamble, sizeof preamble};
-    const std::uint32_t magic = r.u32();
-    const std::uint32_t version = r.u32();
-    if (magic == wire_magic && version == wire_version) {
-      try {
-        const auto reply = encode_preamble();
-        conn->sock.write_all(reply.data(), reply.size());
-        alive = true;
-      } catch (const socket_error&) {
-      }
+  try {
+    if (read_preamble(conn->sock)) {
+      write_preamble(conn->sock);
+      alive = true;
     }
+  } catch (const socket_error&) {
   }
-
-  std::vector<std::uint8_t> scratch;
-  // Drains `n` body bytes to stay frame-synchronized after a refusal.
-  const auto discard = [&](std::size_t n) -> bool {
-    scratch.resize(std::min<std::size_t>(n, 4096));
-    while (n > 0) {
-      const std::size_t step = std::min(n, scratch.size());
-      if (!conn->sock.read_exact(scratch.data(), step)) {
-        return false;
-      }
-      n -= step;
-    }
-    return true;
-  };
 
   while (alive) {
     // server.reader.die: the reader exits as if its thread had crashed.
@@ -513,128 +452,20 @@ void wire_server::reader_loop(const std::shared_ptr<connection>& conn) {
     if (WAVEMIG_FAULT_HIT("server.reader.die").fired) {
       break;
     }
-    std::uint8_t len_bytes[4];
-    if (!conn->sock.read_exact(len_bytes, sizeof len_bytes)) {
-      break;  // clean disconnect (or truncated frame: nothing to answer)
+    request_frame frame;
+    try {
+      frame = read_request_frame(conn->sock, options_.max_frame_bytes);
+    } catch (const frame_error& e) {
+      refuse(conn, e.id(), wire_status::malformed_frame, e.what());
+      alive = e.in_sync();
+      continue;
+    } catch (const socket_error&) {
+      break;  // disconnect, clean or mid-frame: nothing to answer
     }
-    byte_reader len_reader{len_bytes, sizeof len_bytes};
-    const std::uint32_t body_len = len_reader.u32();
-    if (body_len == 0 || body_len > options_.max_frame_bytes) {
-      // An oversized length prefix cannot be skipped (we refuse to read
-      // that much); the stream is unrecoverable past it.
-      respond_status(conn, 0, wire_status::malformed_frame,
-                     "frame length out of bounds");
-      count_response(wire_status::malformed_frame);
-      break;
-    }
-
-    std::uint8_t kind = 0;
-    if (!conn->sock.read_exact(&kind, 1)) {
-      break;
-    }
-    const std::size_t rest = body_len - 1;
-
-    if (kind == static_cast<std::uint8_t>(frame_kind::run)) {
-      if (rest < run_fixed_bytes - 1) {
-        if (!discard(rest)) {
-          break;
-        }
-        respond_status(conn, 0, wire_status::malformed_frame, "run frame too short");
-        count_response(wire_status::malformed_frame);
-        continue;
-      }
-      std::uint8_t fixed[run_fixed_bytes - 1];
-      if (!conn->sock.read_exact(fixed, sizeof fixed)) {
-        break;
-      }
-      byte_reader r{fixed, sizeof fixed};
-      run_request req;
-      req.id = r.u64();
-      req.priority = r.u8();
-      req.flags = r.u8();
-      const std::uint16_t scenario_len = r.u16();
-      req.deadline_ms = r.u32();
-      req.phases = r.u32();
-      req.num_pis = r.u32();
-      const std::uint32_t netlist_len = r.u32();
-      req.fingerprint = r.u64();
-      req.num_waves = r.u64();
-
-      const std::size_t after_fixed = rest - (run_fixed_bytes - 1);
-      const std::size_t var_len = std::size_t{scenario_len} + std::size_t{netlist_len};
-      if (var_len > after_fixed ||
-          (after_fixed - var_len) % sizeof(std::uint64_t) != 0) {
-        if (!discard(after_fixed)) {
-          break;
-        }
-        respond_status(conn, req.id, wire_status::malformed_frame,
-                       "run frame lengths disagree");
-        count_response(wire_status::malformed_frame);
-        continue;
-      }
-      if (scenario_len > 0) {
-        req.scenario.resize(scenario_len);
-        if (!conn->sock.read_exact(req.scenario.data(), scenario_len)) {
-          break;
-        }
-      }
-      if (netlist_len > 0) {
-        req.netlist.resize(netlist_len);
-        if (!conn->sock.read_exact(req.netlist.data(), netlist_len)) {
-          break;
-        }
-      }
-      // The zero-copy read: payload words land directly in the vector that
-      // submit_packed adopts, which the kernel then evaluates in place.
-      const std::size_t payload_words =
-          (after_fixed - var_len) / sizeof(std::uint64_t);
-      req.payload.resize(payload_words);
-      if (payload_words > 0 &&
-          !conn->sock.read_exact(req.payload.data(),
-                                 payload_words * sizeof(std::uint64_t))) {
-        break;
-      }
-      words_from_wire(req.payload.data(), payload_words);
-      serve_run(conn, std::move(req));
-    } else if (kind == static_cast<std::uint8_t>(frame_kind::register_program)) {
-      if (rest < register_fixed_bytes - 1) {
-        if (!discard(rest)) {
-          break;
-        }
-        respond_status(conn, 0, wire_status::malformed_frame, "register frame too short");
-        count_response(wire_status::malformed_frame);
-        continue;
-      }
-      std::uint8_t fixed[register_fixed_bytes - 1];
-      if (!conn->sock.read_exact(fixed, sizeof fixed)) {
-        break;
-      }
-      byte_reader r{fixed, sizeof fixed};
-      register_request req;
-      req.id = r.u64();
-      const std::uint32_t netlist_len = r.u32();
-      if (netlist_len != rest - (register_fixed_bytes - 1)) {
-        if (!discard(rest - (register_fixed_bytes - 1))) {
-          break;
-        }
-        respond_status(conn, req.id, wire_status::malformed_frame,
-                       "register frame lengths disagree");
-        count_response(wire_status::malformed_frame);
-        continue;
-      }
-      req.netlist.resize(netlist_len);
-      if (netlist_len > 0 && !conn->sock.read_exact(req.netlist.data(), netlist_len)) {
-        break;
-      }
-      serve_register(conn, req);
+    if (auto* run = std::get_if<run_request>(&frame)) {
+      serve_run(conn, std::move(*run));
     } else {
-      // Unknown kind: the frame is still length-delimited, so skip it and
-      // keep the stream alive.
-      if (!discard(rest)) {
-        break;
-      }
-      respond_status(conn, 0, wire_status::malformed_frame, "unknown frame kind");
-      count_response(wire_status::malformed_frame);
+      serve_register(conn, std::get<register_request>(frame));
     }
   }
 
@@ -649,7 +480,13 @@ void wire_server::reader_loop(const std::shared_ptr<connection>& conn) {
   if (conn->writer.joinable()) {
     conn->writer.join();
   }
-  conn->sock.shutdown_both();
+  // Release the fd now and leave the thread to the next accept (or
+  // shutdown) to join. Under mutex_, so shutdown() never calls
+  // shutdown_read() on a closed fd, whose number may already be reused.
+  std::lock_guard<std::mutex> lock{mutex_};
+  conn->sock.close();
+  connections_.erase(std::find(connections_.begin(), connections_.end(), conn));
+  closed_.push_back(conn);
 }
 
 }  // namespace wavemig::net

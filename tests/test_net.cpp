@@ -2,20 +2,25 @@
 // encode/decode pair, the loopback differential pin (wire responses
 // bit-identical to in-process submit_packed), hostile-bytes framing
 // behavior, the production policies mapped onto the serving layer
-// (admission, deadlines, draining), and graceful-shutdown flushing. The
-// server/client threading runs under the TSan CI job alongside
-// test_parallel_engine and test_serving.
+// (admission, deadlines, draining), graceful-shutdown flushing, the release
+// of closed connections, and seeded mutation fuzzing of the decoders the
+// server and client run. The server/client threading runs under the TSan
+// CI job alongside test_parallel_engine and test_serving.
 
 #include "wavemig/net/server.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <future>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -515,25 +520,12 @@ TEST(wire_refusals, stray_tail_bits_reject_unless_masking_is_requested) {
 /// Raw-socket helpers for speaking deliberately broken bytes at the server.
 net::tcp_socket raw_handshake(std::uint16_t port) {
   auto sock = net::tcp_socket::connect("127.0.0.1", port);
-  std::vector<std::uint8_t> preamble;
-  net::byte_writer w{preamble};
-  w.u32(net::wire_magic);
-  w.u32(net::wire_version);
-  sock.write_all(preamble.data(), preamble.size());
-  std::uint8_t echo[8];
-  EXPECT_TRUE(sock.read_exact(echo, sizeof echo));
+  net::write_preamble(sock);
+  EXPECT_TRUE(net::read_preamble(sock));
   return sock;
 }
 
-net::wire_response read_raw_response(net::tcp_socket& sock) {
-  std::uint8_t len_bytes[4];
-  EXPECT_TRUE(sock.read_exact(len_bytes, sizeof len_bytes));
-  net::byte_reader r{len_bytes, sizeof len_bytes};
-  const std::uint32_t body_len = r.u32();
-  std::vector<std::uint8_t> body(body_len);
-  EXPECT_TRUE(sock.read_exact(body.data(), body.size()));
-  return net::decode_response_body(body.data(), body.size());
-}
+net::wire_response read_raw_response(net::tcp_socket& sock) { return net::read_response(sock); }
 
 void write_frame(net::tcp_socket& sock, const std::vector<std::uint8_t>& body) {
   std::vector<std::uint8_t> len;
@@ -798,6 +790,356 @@ TEST(wire_policies, shutdown_flushes_inflight_responses_before_closing) {
   // ...and the connection ends cleanly right after it.
   EXPECT_THROW((void)client.receive(), net::socket_error);
   EXPECT_THROW((void)net::wire_client::connect(stack->server.port()), net::socket_error);
+}
+
+// -------------------------------------------------- connection lifetime ---
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator{"/proc/self/fd"}) {
+    ++n;
+  }
+  return n;
+}
+
+/// A connection whose client hangs up releases its fd when its reader
+/// exits, not at shutdown(): 256 connect/close cycles leave the process's
+/// fd count where it was, and the server keeps serving.
+TEST(wire_connections, closed_connections_release_their_fds) {
+  if (!std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /proc/self/fd to count open descriptors";
+  }
+  loopback_stack stack;
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 256; ++i) {
+    auto client = net::wire_client::connect(stack.server.port());
+    client.close();
+  }
+  // Each reader sees its client's EOF and closes asynchronously.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{5};
+  std::size_t after = open_fds();
+  while (after > before + 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds{5});
+    after = open_fds();
+  }
+  EXPECT_LE(after, before + 4) << "open fds: " << before << " before 256 connect/close cycles, "
+                               << after << " after";
+
+  auto client = net::wire_client::connect(stack.server.port());
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(3));
+  const std::uint64_t fp = client.register_program(*net);
+  const auto words = random_planes(net->num_pis(), 100, 17);
+  const auto resp = client.run(make_run(fp, *net, 100, 3, words));
+  ASSERT_EQ(resp.status, net::wire_status::ok) << resp.message;
+  EXPECT_EQ(resp.result.words, stack.serving.submit_packed(net, words, 100, 3).get().words);
+  EXPECT_EQ(stack.server.stats().connections_accepted, 257u);
+}
+
+// ------------------------------------------------------------ wire fuzz ---
+
+/// A length field of a frame body: byte offset (the kind byte is 0) and width.
+struct length_field {
+  std::size_t offset;
+  std::size_t width;
+};
+
+/// Scenario, netlist, num_pis and num_waves of a run body.
+const std::vector<length_field> run_lengths = {{11, 2}, {25, 4}, {21, 4}, {37, 8}};
+const std::vector<length_field> register_lengths = {{9, 4}};
+/// Message length of an error response; num_waves and num_pos of an ok one.
+const std::vector<length_field> response_lengths = {{10, 4}, {18, 8}, {26, 4}};
+
+/// One seeded mutation: one to three edits, each a bit flip, a truncation,
+/// an extension by random bytes, or a length field rewritten (a step of at
+/// most 8 or a random value, little-endian like the wire).
+std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> body,
+                                 const std::vector<length_field>& lengths, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  for (std::size_t edits = 1 + pick(3); edits > 0; --edits) {
+    switch (pick(4)) {
+      case 0:
+        if (!body.empty()) {
+          body[pick(body.size())] ^= static_cast<std::uint8_t>(1u << pick(8));
+        }
+        break;
+      case 1:
+        body.resize(pick(body.size() + 1));
+        break;
+      case 2:
+        for (std::size_t n = 1 + pick(16); n > 0; --n) {
+          body.push_back(static_cast<std::uint8_t>(rng()));
+        }
+        break;
+      default: {
+        const length_field f = lengths[pick(lengths.size())];
+        if (f.offset + f.width > body.size()) {
+          break;
+        }
+        std::uint64_t v = 0;
+        for (std::size_t b = 0; b < f.width; ++b) {
+          v |= std::uint64_t{body[f.offset + b]} << (8 * b);
+        }
+        v = pick(2) == 0 ? v + pick(17) - 8 : rng();
+        for (std::size_t b = 0; b < f.width; ++b) {
+          body[f.offset + b] = static_cast<std::uint8_t>(v >> (8 * b));
+        }
+      }
+    }
+  }
+  return body;
+}
+
+std::vector<std::uint8_t> body_of(const std::vector<std::uint8_t>& frame) {
+  return {frame.begin() + 4, frame.end()};
+}
+
+std::vector<std::uint8_t> run_body(const net::run_request& req) {
+  auto body = body_of(net::encode_run_frame_prefix(req));
+  const auto* words = reinterpret_cast<const std::uint8_t*>(req.payload.data());
+  body.insert(body.end(), words, words + req.payload.size() * sizeof(std::uint64_t));
+  return body;
+}
+
+/// Writes `body` behind its own length prefix on one end of a fresh
+/// loopback connection, closes that end, and returns the other.
+net::tcp_socket framed_on_a_socket(net::tcp_listener& listener,
+                                   const std::vector<std::uint8_t>& body) {
+  auto reader = net::tcp_socket::connect("127.0.0.1", listener.port());
+  auto writer = listener.accept();
+  std::vector<std::uint8_t> frame;
+  net::byte_writer w{frame};
+  w.u32(static_cast<std::uint32_t>(body.size()));
+  w.bytes(body.data(), body.size());
+  writer.write_all(frame.data(), frame.size());
+  return reader;
+}
+
+/// 2,000 seeded mutations of `seeds` through a decoder's span form
+/// (`span`) and, every tenth, its socket form (`socket`): each returns the
+/// re-encoded body of what it accepted. Only protocol_error may escape,
+/// both forms must agree, and an accepted body re-encodes to itself.
+template <typename Span, typename Socket>
+void fuzz_decoder(const char* kind, const std::vector<std::vector<std::uint8_t>>& seeds,
+                  const std::vector<length_field>& lengths, std::uint64_t seed, Span span,
+                  Socket socket) {
+  auto listener = net::tcp_listener::listen_loopback(0);
+  std::mt19937_64 rng{seed};
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (std::size_t trial = 0; trial < 2000; ++trial) {
+    const auto body = mutate(seeds[trial % seeds.size()], lengths, rng);
+    std::optional<std::vector<std::uint8_t>> span_out;
+    try {
+      span_out = span(body);
+      EXPECT_EQ(*span_out, body) << kind << " trial " << trial << " re-encodes differently";
+      ++accepted;
+    } catch (const net::protocol_error&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << kind << " trial " << trial << ": " << e.what();
+    }
+    if (trial % 10 != 0) {
+      continue;
+    }
+    try {
+      auto sock = framed_on_a_socket(listener, body);
+      const auto socket_out = socket(sock);
+      EXPECT_EQ(span_out, socket_out) << kind << " trial " << trial << ": the forms disagree";
+    } catch (const net::protocol_error&) {
+      EXPECT_FALSE(span_out) << kind << " trial " << trial << ": only the socket form refused";
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << kind << " trial " << trial << " (socket form): " << e.what();
+    }
+  }
+  // Both verdicts must occur, or the mutations test nothing.
+  EXPECT_GT(accepted, 0u) << kind;
+  EXPECT_GT(refused, 0u) << kind;
+}
+
+net::run_request fuzz_run(std::uint64_t id, std::string scenario, std::string netlist,
+                          std::vector<std::uint64_t> payload) {
+  net::run_request req;
+  req.id = id;
+  req.priority = 7;
+  req.deadline_ms = 1000;
+  req.phases = 3;
+  req.num_pis = 4;
+  req.fingerprint = 0x0123456789ABCDEFull;
+  req.num_waves = 64 * payload.size() / 4;
+  req.scenario = std::move(scenario);
+  req.netlist = std::move(netlist);
+  req.payload = std::move(payload);
+  return req;
+}
+
+TEST(wire_fuzz, run_decoder_refuses_or_round_trips_every_mutation) {
+  const std::vector<std::vector<std::uint8_t>> seeds = {
+      run_body(fuzz_run(1, "", "", random_planes(4, 128, 1))),
+      run_body(fuzz_run(2, "SWD", mig_text(gen::ripple_adder_circuit(2)), {})),
+      run_body(fuzz_run(3, "FDM-SWD", "", random_planes(4, 64, 2))),
+  };
+  fuzz_decoder(
+      "run", seeds, run_lengths, 0xF0221,
+      [](const std::vector<std::uint8_t>& body) {
+        net::run_request out;
+        const std::size_t at = net::decode_run_body(body.data(), body.size(), out);
+        EXPECT_EQ(body.size() - at, out.payload.size() * sizeof(std::uint64_t));
+        return run_body(out);
+      },
+      [](net::tcp_socket& sock) -> std::optional<std::vector<std::uint8_t>> {
+        // A flipped kind byte can make a valid register frame: no run frame.
+        auto frame = net::read_request_frame(sock, std::size_t{1} << 20);
+        const auto* run = std::get_if<net::run_request>(&frame);
+        return run != nullptr ? std::optional{run_body(*run)} : std::nullopt;
+      });
+}
+
+TEST(wire_fuzz, register_decoder_refuses_or_round_trips_every_mutation) {
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const auto& netlist : {std::string{}, mig_text(gen::ripple_adder_circuit(2))}) {
+    net::register_request req;
+    req.id = 40 + seeds.size();
+    req.netlist = netlist;
+    seeds.push_back(body_of(net::encode_register_frame(req)));
+  }
+  fuzz_decoder(
+      "register", seeds, register_lengths, 0xF0222,
+      [](const std::vector<std::uint8_t>& body) {
+        return body_of(net::encode_register_frame(net::decode_register_body(body.data(), body.size())));
+      },
+      [](net::tcp_socket& sock) -> std::optional<std::vector<std::uint8_t>> {
+        auto frame = net::read_request_frame(sock, std::size_t{1} << 20);
+        const auto* reg = std::get_if<net::register_request>(&frame);
+        return reg != nullptr ? std::optional{body_of(net::encode_register_frame(*reg))}
+                              : std::nullopt;
+      });
+}
+
+TEST(wire_fuzz, response_decoder_refuses_or_round_trips_every_mutation) {
+  net::wire_response ok;
+  ok.id = 90;
+  ok.fingerprint = 0xFEEDull;
+  ok.result.num_pos = 3;
+  ok.result.num_waves = 130;
+  ok.result.words = random_planes(3, 130, 3);
+  ok.result.ticks = 140;
+  ok.result.latency_ticks = 9;
+  ok.result.initiation_interval = 3;
+  ok.result.waves_in_flight = 3;
+  net::wire_response registered;
+  registered.id = 91;
+  registered.fingerprint = 0xBEEFull;
+  registered.result.num_pos = 2;
+  net::wire_response refused;
+  refused.id = 92;
+  refused.status = net::wire_status::unknown_scenario;
+  refused.message = "scenario 'XYZ' is not registered";
+  const std::vector<std::vector<std::uint8_t>> seeds = {
+      body_of(response_frame(ok)), body_of(response_frame(registered)),
+      body_of(response_frame(refused))};
+  fuzz_decoder(
+      "response", seeds, response_lengths, 0xF0223,
+      [](const std::vector<std::uint8_t>& body) {
+        return body_of(response_frame(net::decode_response_body(body.data(), body.size())));
+      },
+      [](net::tcp_socket& sock) -> std::optional<std::vector<std::uint8_t>> {
+        return body_of(response_frame(net::read_response(sock)));
+      });
+}
+
+/// Waits up to 10 s for a byte or an end of stream on `sock`.
+bool readable(const net::tcp_socket& sock) {
+  pollfd p{sock.fd(), POLLIN, 0};
+  return ::poll(&p, 1, 10'000) == 1;
+}
+
+/// Mutated frames written to a live server: a frame under its own length
+/// prefix gets exactly one response on a connection that stays in sync,
+/// unless it is empty (refused, then closed); under a rewritten length
+/// prefix the connection ends after responses that all decode. A fresh
+/// client is then served.
+TEST(wire_fuzz, a_live_server_answers_or_ends_every_mutated_frame) {
+  loopback_stack stack;
+  const auto net = std::make_shared<const mig_network>(gen::ripple_adder_circuit(2));
+  const std::string text = mig_text(*net);
+  std::uint64_t fp = 0;
+  {
+    auto client = net::wire_client::connect(stack.server.port());
+    fp = client.register_program(*net);
+  }
+  auto by_fingerprint = make_run(fp, *net, 100, 3, random_planes(net->num_pis(), 100, 4));
+  by_fingerprint.id = 1;
+  auto inline_netlist = make_run(0, *net, 64, 3, random_planes(net->num_pis(), 64, 5));
+  inline_netlist.id = 2;
+  inline_netlist.netlist = text;
+  inline_netlist.scenario = "SWD";
+  net::register_request reg;
+  reg.id = 3;
+  reg.netlist = text;
+  const std::vector<std::vector<std::uint8_t>> seeds = {
+      run_body(by_fingerprint), run_body(inline_netlist),
+      body_of(net::encode_register_frame(reg))};
+  const std::vector<const std::vector<length_field>*> lengths = {&run_lengths, &run_lengths,
+                                                                  &register_lengths};
+
+  std::mt19937_64 rng{0xF0224};
+  std::optional<net::tcp_socket> sock;
+  std::size_t answered = 0;
+  std::size_t reframed = 0;
+  for (std::size_t trial = 0; trial < 300; ++trial) {
+    const std::size_t k = trial % seeds.size();
+    const auto body = mutate(seeds[k], *lengths[k], rng);
+    const bool rewrite_length = rng() % 8 == 0;
+    std::vector<std::uint8_t> frame;
+    net::byte_writer w{frame};
+    w.u32(static_cast<std::uint32_t>(rewrite_length ? rng() % (2 * body.size() + 2)
+                                                     : body.size()));
+    w.bytes(body.data(), body.size());
+    if (!sock) {
+      sock = raw_handshake(stack.server.port());
+    }
+    sock->write_all(frame.data(), frame.size());
+    if (rewrite_length) {
+      // The server may wait for bytes that never come, read a short frame
+      // and the rest as more frames, or refuse the length: end our side.
+      ::shutdown(sock->fd(), SHUT_WR);
+      for (;;) {
+        ASSERT_TRUE(readable(*sock)) << "trial " << trial << ": the connection never ended";
+        try {
+          (void)net::read_response(*sock);
+        } catch (const net::socket_error&) {
+          break;
+        }
+      }
+      sock.reset();
+      ++reframed;
+      continue;
+    }
+    ASSERT_TRUE(readable(*sock)) << "trial " << trial << ": no response and no close";
+    try {
+      const auto resp = net::read_response(*sock);
+      ++answered;
+      if (body.empty()) {  // a zero length prefix: refused, then closed
+        EXPECT_EQ(resp.status, net::wire_status::malformed_frame);
+        ASSERT_TRUE(readable(*sock));
+        EXPECT_THROW((void)net::read_response(*sock), net::socket_error);
+        sock.reset();
+      }
+    } catch (const net::socket_error& e) {
+      ADD_FAILURE() << "trial " << trial << ": the server closed instead of answering: "
+                    << e.what();
+      sock.reset();
+    }
+  }
+  EXPECT_GT(answered, 200u);
+  EXPECT_GT(reframed, 0u);
+
+  auto client = net::wire_client::connect(stack.server.port());
+  const auto words = random_planes(net->num_pis(), 100, 6);
+  const auto resp = client.run(make_run(fp, *net, 100, 3, words));
+  ASSERT_EQ(resp.status, net::wire_status::ok) << resp.message;
+  EXPECT_EQ(resp.result.words, stack.serving.submit_packed(net, words, 100, 3).get().words);
 }
 
 }  // namespace
