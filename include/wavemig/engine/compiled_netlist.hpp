@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "wavemig/buffer_insertion.hpp"
@@ -48,7 +49,8 @@ public:
     slot_ref a, b, c;
   };
 
-  /// Compiles against the network's ASAP levels.
+  /// Compiles against the network's ASAP levels, which it stores (see
+  /// mig_network): nothing is recomputed or copied.
   explicit compiled_netlist(const mig_network& net, compile_options options = {});
 
   /// Compiles against an explicit clock schedule (required for
@@ -201,9 +203,11 @@ public:
 private:
   compiled_netlist() = default;
 
-  /// Lowers the combinational program and the clock under `schedule`; a
-  /// null schedule leaves no clock (comb_only, or a balance plan's to come).
-  void lower(const mig_network& net, const level_map* schedule);
+  /// Lowers the combinational program and the clock under `schedule` (a
+  /// level per node) of depth `depth`; an empty schedule leaves no clock
+  /// (comb_only, or a balance plan's to come).
+  void lower(const mig_network& net, std::span<const std::uint32_t> schedule,
+             std::uint32_t depth);
 
   /// Runs the post-lowering optimizer over the combinational program
   /// (optimizer.cpp) at options_.opt_level. Fills opt_stats_; a no-op at

@@ -21,7 +21,9 @@ struct level_map {
   [[nodiscard]] std::uint32_t operator[](node_index n) const { return level[n]; }
 };
 
-/// Computes levels in one forward pass (node index order is topological).
+/// The levels the network recorded as its nodes were appended (see
+/// mig_network): a copy of `net.levels()` and `net.depth()`. The network is
+/// append-only, so these are final; nothing walks the fan-ins here.
 level_map compute_levels(const mig_network& net);
 
 /// Maximum exclusive base distance of a node: one level below the node's own
@@ -91,7 +93,5 @@ struct network_stats {
 };
 
 network_stats compute_stats(const mig_network& net);
-/// Same, with the depth taken from already computed `levels` of `net`.
-network_stats compute_stats(const mig_network& net, const level_map& levels);
 
 }  // namespace wavemig

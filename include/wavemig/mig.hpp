@@ -29,6 +29,13 @@ enum class node_kind : std::uint8_t {
 /// cleanup.hpp, depth_rewriting.hpp, and the wave-pipelining passes in
 /// core/), which keeps every intermediate result valid and hashable.
 ///
+/// Every node carries its ASAP level, recorded when it is appended: PIs
+/// and the constant sit at 0, and a component (majority, buffer, fan-out
+/// gate) one above its deepest fan-in, so one fed only by constants sits at
+/// 1. Because nodes are only appended and never re-wired, a level is final
+/// once set, and so is `depth()` once the outputs are registered;
+/// `compute_levels` (levels.hpp) copies them instead of walking the fan-ins.
+///
 /// Majority nodes are canonicalized (fan-ins sorted, at most one complemented
 /// fan-in via the self-duality M(!a,!b,!c) = !M(a,b,c)) and structurally
 /// hashed, so logically identical gates are created once. The functional
@@ -64,6 +71,16 @@ public:
   /// Adds (or reuses) a canonicalized majority gate.
   signal create_maj(signal a, signal b, signal c);
 
+  /// Appends a majority gate known to be new, without the structural-hash
+  /// probe: the rebuild of a strashed network (the wave-pipelining passes)
+  /// maps distinct gates onto distinct fan-in triples, so a probe would
+  /// never match. Stores exactly the node `create_maj(a, b, c)` would
+  /// create. Throws std::logic_error unless at most one fan-in is
+  /// complemented and the three fan-in nodes are distinct; checked builds
+  /// (!NDEBUG) also assert that no equal gate exists. The hash table is
+  /// rebuilt once, at its final size, by the next `create_maj`.
+  signal append_maj(signal a, signal b, signal c);
+
   /// AND as M(a, b, 0).
   signal create_and(signal a, signal b) { return create_maj(a, b, constant0); }
   /// OR as M(a, b, 1).
@@ -89,6 +106,10 @@ public:
   /// Registers a primary output; returns its position. `name` defaults to
   /// "po<N>".
   std::uint32_t create_po(signal driver, std::string name = {});
+
+  /// Reserves room for `num_nodes` nodes in all, so a pass that knows the
+  /// size of the network it builds allocates once.
+  void reserve(std::size_t num_nodes);
 
   /// @}
   /// @name Structure queries
@@ -134,6 +155,13 @@ public:
   /// PI position of a primary-input node.
   [[nodiscard]] std::size_t pi_position(node_index n) const { return nodes_[n].aux; }
 
+  /// ASAP level of a node (see the class comment).
+  [[nodiscard]] std::uint32_t level(node_index n) const { return levels_[n]; }
+  /// Levels of every node, by node index.
+  [[nodiscard]] std::span<const std::uint32_t> levels() const { return levels_; }
+  /// Maximum level over the non-constant primary-output drivers.
+  [[nodiscard]] std::uint32_t depth() const { return depth_; }
+
   /// @}
   /// @name Iteration (index order == topological order)
   /// @{
@@ -167,10 +195,14 @@ public:
   /// @}
 
 private:
-  signal lookup_or_create_maj(signal a, signal b, signal c, bool output_complemented);
-  void grow_strash();
+  node_index push_node(node_kind kind, const std::array<signal, 3>& fanin, std::uint32_t level);
+  node_index push_maj(const std::array<signal, 3>& sorted_fanin);
+  std::size_t probe(const std::array<signal, 3>& sorted_fanin);
+  void rebuild_strash();
 
   std::vector<node> nodes_;
+  std::vector<std::uint32_t> levels_;  ///< ASAP level per node
+  std::uint32_t depth_{0};
   std::vector<node_index> pis_;
   std::vector<std::string> pi_names_;
   std::vector<output> pos_;
@@ -178,7 +210,10 @@ private:
   /// probing over node indices, keyed by each node's own sorted fan-in
   /// array. 0 (the constant node, never a majority) marks a free slot. The
   /// capacity is a power of two and at least twice the majority count.
+  /// It holds `num_hashed_` gates; `append_maj` skips it, and the next
+  /// probe rebuilds it when that falls behind `num_majorities_`.
   std::vector<node_index> strash_;
+  std::size_t num_hashed_{0};
   std::size_t num_majorities_{0};
   std::size_t num_buffers_{0};
   std::size_t num_fanouts_{0};

@@ -1,6 +1,7 @@
 #include "wavemig/buffer_insertion.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <numeric>
 #include <span>
@@ -128,6 +129,11 @@ public:
     buffer_insertion_result result;
     result.depth_before = levels_.depth;
 
+    const std::size_t num_nodes = old_.num_nodes() + planned_buffers();
+    new_net_.reserve(num_nodes);
+    schedule_.reserve(num_nodes);
+    schedule_.push_back(0);  // the constant node
+
     std::vector<signal> map(old_.num_nodes(), constant0);
     old_.foreach_node([&](node_index n) {
       switch (old_.kind(n)) {
@@ -138,7 +144,7 @@ public:
           break;
         case node_kind::majority: {
           const auto fis = old_.fanins(n);
-          map[n] = new_net_.create_maj(tap_for(n, 0, fis[0]), tap_for(n, 1, fis[1]),
+          map[n] = new_net_.append_maj(tap_for(n, 0, fis[0]), tap_for(n, 1, fis[1]),
                                        tap_for(n, 2, fis[2]));
           break;
         }
@@ -165,9 +171,8 @@ public:
     }
 
     result.buffers_added = new_net_.num_buffers() - old_.num_buffers();
-    result.depth_after = compute_levels(new_net_).depth;
+    result.depth_after = new_net_.depth();
 
-    schedule_.resize(new_net_.num_nodes(), 0);
     result.schedule.level = std::move(schedule_);
     result.schedule.depth = 0;
     for (const auto& po : new_net_.pos()) {
@@ -181,13 +186,44 @@ public:
   }
 
 private:
-  /// Records the scheduled level of a rebuilt node (idempotent: structural
-  /// hashing may map several requests onto one node; the first wins).
-  void record_schedule(signal s, std::uint32_t level) {
-    if (schedule_.size() <= s.index()) {
-      schedule_.resize(s.index() + 1, 0);
-      schedule_[s.index()] = level;
-    }
+  /// Records the scheduled level of the node just created. Every rebuilt
+  /// node is new (gates are appended, buffers never hashed), so nodes
+  /// arrive in index order.
+  void record_schedule([[maybe_unused]] signal s, std::uint32_t level) {
+    assert(s.index() == schedule_.size());
+    schedule_.push_back(level);
+  }
+
+  /// A tree strategy driver with more edges than a vertex has ports. Within
+  /// capacity every tree position holds one vertex, which drives the next
+  /// and the taps at its position: the chain, created in the same order.
+  [[nodiscard]] bool over_capacity(std::span<const fanout_map::edge> edges) const {
+    return options_.strategy == buffer_strategy::tree && edges.size() > rules_.capacity();
+  }
+
+  /// Buffers the pass adds, counted before any exists so the network and
+  /// the schedule allocate once: per driver, every edge's gap (naive), the
+  /// longest gap (the chain), or the vertices of a tree over capacity,
+  /// whose sizing also refuses up front what the build would refuse.
+  [[nodiscard]] std::size_t planned_buffers() {
+    const bool naive = options_.strategy == buffer_strategy::naive;
+    std::size_t total = 0;
+    old_.foreach_node([&](node_index n) {
+      const auto edges = fanouts_.edges[n];
+      if (over_capacity(edges)) {
+        shape_.size(rules_, n, edges);
+        total += std::accumulate(shape_.vertices.begin(), shape_.vertices.end(), std::size_t{0});
+        return;
+      }
+      std::uint32_t longest = 0;
+      for (const auto& e : edges) {
+        const std::uint32_t gap = rules_.gap_of(n, e);
+        longest = std::max(longest, gap);
+        total += naive ? gap : 0;
+      }
+      total += naive ? 0 : longest;
+    });
+    return total;
   }
 
   /// Plans the buffer structure hanging off driver `n` (whose rebuilt signal
@@ -208,6 +244,12 @@ private:
           taps_.set(e, tap);
         }
         break;
+      case buffer_strategy::tree:
+        if (over_capacity(edges)) {
+          plan_tree(n, s, edges);
+          break;
+        }
+        [[fallthrough]];  // within capacity the tree is the chain
       case buffer_strategy::chain:
         // Algorithm 1: one shared chain; fan-outs sorted by required depth
         // tap it at their position (extending lazily gives the identical
@@ -222,9 +264,6 @@ private:
           }
           taps_.set(e, chain_[gap]);
         }
-        break;
-      case buffer_strategy::tree:
-        plan_tree(n, s, edges);
         break;
     }
   }
@@ -269,7 +308,7 @@ private:
   fanout_map fanouts_;
   mig_network new_net_;
   detail::tap_table taps_;
-  std::vector<std::uint32_t> schedule_;  // scheduled level per new node
+  std::vector<std::uint32_t> schedule_;  // scheduled level per new node, in index order
   // Per-driver scratch, reused across drivers.
   std::vector<signal> chain_;
   tree_shape shape_;
@@ -291,11 +330,12 @@ balance_plan plan_balance(const mig_network& net, const buffer_insertion_options
 
   // The refusal insert_buffers makes driver by driver while building, made
   // here up front: it fires for the same networks with the same message.
+  // A driver within capacity never trips it.
   if (options.strategy == buffer_strategy::tree && options.fanout_limit) {
     const fanout_map fanouts = compute_fanouts(net);
     tree_shape shape;
     net.foreach_node([&](node_index n) {
-      if (fanouts.degree(n) != 0) {
+      if (fanouts.degree(n) > rules.capacity()) {
         shape.size(rules, n, fanouts.edges[n]);
       }
     });

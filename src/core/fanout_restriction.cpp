@@ -21,14 +21,17 @@ public:
   restriction_builder(const mig_network& old_net, const fanout_restriction_options& options)
       : old_{old_net},
         options_{options},
-        levels_{compute_levels(old_net)},
         fanouts_{compute_fanouts(old_net)},
-        lower_bound_{levels_.level},
+        lower_bound_{old_net.levels().begin(), old_net.levels().end()},
         taps_{old_net} {}
 
   fanout_restriction_result run() {
     fanout_restriction_result result;
-    result.depth_before = levels_.depth;
+    result.depth_before = old_.depth();
+
+    std::size_t fogs = 0;
+    old_.foreach_node([&](node_index n) { fogs += fog_count(n); });
+    new_net_.reserve(old_.num_nodes() + fogs);
 
     std::vector<signal> map(old_.num_nodes(), constant0);
     old_.foreach_node([&](node_index n) {
@@ -40,7 +43,7 @@ public:
           break;
         case node_kind::majority: {
           const auto fis = old_.fanins(n);
-          map[n] = new_net_.create_maj(tap_for(n, 0, fis[0]), tap_for(n, 1, fis[1]),
+          map[n] = new_net_.append_maj(tap_for(n, 0, fis[0]), tap_for(n, 1, fis[1]),
                                        tap_for(n, 2, fis[2]));
           break;
         }
@@ -51,7 +54,6 @@ public:
           map[n] = new_net_.create_fanout(tap_for(n, 0, old_.fanins(n)[0]));
           break;
       }
-      sync_levels();
       lower_bound_[n] = level_of(map[n]);
       plan_driver(n, map[n], result);
     });
@@ -67,26 +69,23 @@ public:
 
     result.fogs_added = new_net_.num_fanout_gates() - old_.num_fanout_gates();
     result.buffers_added = new_net_.num_buffers() - old_.num_buffers();
-    result.depth_after = compute_levels(new_net_).depth;
+    result.depth_after = new_net_.depth();
     result.net = std::move(new_net_);
     return result;
   }
 
 private:
-  void sync_levels() {
-    while (new_levels_.size() < new_net_.num_nodes()) {
-      const auto n = static_cast<node_index>(new_levels_.size());
-      std::uint32_t lvl = 0;
-      for (const signal f : new_net_.fanins(n)) {
-        if (!new_net_.is_constant(f.index())) {
-          lvl = std::max(lvl, new_levels_[f.index()] + 1);
-        }
-      }
-      new_levels_.push_back(lvl);
-    }
-  }
+  [[nodiscard]] std::uint32_t level_of(signal s) const { return new_net_.level(s.index()); }
 
-  [[nodiscard]] std::uint32_t level_of(signal s) const { return new_levels_[s.index()]; }
+  /// FOGs placed on driver `n`: none while its edges stay within its native
+  /// capability (every component drives one consumer; an existing FOG
+  /// drives up to `limit`), else ceil((m - 1) / (k - 1)) for m edges.
+  [[nodiscard]] std::uint64_t fog_count(node_index n) const {
+    const std::uint64_t m = fanouts_.degree(n);
+    const std::uint64_t k = options_.limit;
+    const std::uint64_t native_capacity = old_.is_fanout_gate(n) ? k : 1;
+    return m <= native_capacity ? 0 : (m - 1 + (k - 1) - 1) / (k - 1);
+  }
 
   signal tap_for(node_index consumer, std::uint32_t slot, signal original) {
     if (old_.is_constant(original.index())) {
@@ -102,28 +101,23 @@ private:
     }
     const std::uint32_t L = level_of(s);
 
-    // Drivers within their native capability connect directly: every
-    // component drives one consumer; an existing FOG drives up to `limit`.
-    const std::size_t native_capacity = old_.is_fanout_gate(n) ? options_.limit : 1;
-    if (edges.size() <= native_capacity) {
+    // Drivers within their native capability connect directly.
+    const std::uint64_t fogs = fog_count(n);
+    if (fogs == 0) {
       for (const auto& e : edges) {
         record_tap(e, s, L + 1);
       }
       return;
     }
-
-    const std::uint64_t m = edges.size();
     const std::uint64_t k = options_.limit;
-    const std::uint64_t fog_count = (m - 1 + (k - 1) - 1) / (k - 1);  // ceil((m-1)/(k-1))
 
     // BFS FOG placement: ports are (depth, driving vertex); placing a FOG on
     // the shallowest free port keeps the tree as shallow as possible.
     ports_.assign(1, {1, s});
     std::size_t head = 0;
-    for (std::uint64_t i = 0; i < fog_count; ++i) {
+    for (std::uint64_t i = 0; i < fogs; ++i) {
       const port p = ports_[head++];
       const signal fog = new_net_.create_fanout(p.vertex);
-      sync_levels();
       for (std::uint64_t j = 0; j < k; ++j) {
         ports_.push_back({p.depth + 1, fog});
       }
@@ -167,7 +161,6 @@ private:
         for (std::int64_t j = p.depth; j < target; ++j) {
           tap = new_net_.create_buffer(tap);
         }
-        sync_levels();
         arrival = L + static_cast<std::uint32_t>(std::max<std::int64_t>(p.depth, target));
       }
       record_tap(*c.e, tap, arrival);
@@ -183,10 +176,8 @@ private:
 
   const mig_network& old_;
   const fanout_restriction_options& options_;
-  level_map levels_;
   fanout_map fanouts_;
   mig_network new_net_;
-  std::vector<std::uint32_t> new_levels_;
   std::vector<std::uint32_t> lower_bound_;  // growing level estimates, old indices
   detail::tap_table taps_;
 

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "wavemig/levels.hpp"
-
 namespace wavemig {
 
 namespace {
@@ -36,7 +34,7 @@ std::uint32_t max_unregenerated_run(const mig_network& net) {
 loss_budget_result enforce_loss_budget(const mig_network& old,
                                        const loss_budget_options& options) {
   loss_budget_result result;
-  result.depth_before = compute_levels(old).depth;
+  result.depth_before = old.depth();
   result.max_run_before = max_unregenerated_run(old);
 
   if (!options.max_unregenerated_levels) {
@@ -51,78 +49,66 @@ loss_budget_result enforce_loss_budget(const mig_network& old,
         "enforce_loss_budget: max_unregenerated_levels must be at least 1"};
   }
 
-  mig_network net;
-  std::vector<signal> map(old.num_nodes(), constant0);
-  std::vector<std::uint32_t> run;  // per *new* node index
-
-  const auto run_of = [&](signal s) -> std::uint32_t {
-    return net.is_constant(s.index()) ? 0 : run[s.index()];
+  // A repeater is spliced into a majority/FOG fan-in edge when one more
+  // level through the consumer would exceed the budget. Per edge, never
+  // shared — the driver's fan-out degree is preserved, so the pass
+  // composes with restrict_fanout without re-violating the limit. The
+  // decisions are made before anything is built: `run[n]` is the run the
+  // rebuilt node of old node n will have (repeaters, PIs and buffers
+  // regenerate to 0), which sizes the rebuilt network once.
+  std::vector<std::uint32_t> run(old.num_nodes(), 0);
+  const auto needs_repeater = [&](signal f) {
+    return !old.is_constant(f.index()) && run[f.index()] + 1 > budget;
   };
-  // Structural hashing / folding in create_maj may return an existing node —
-  // identical structure implies an identical run, so only fresh nodes (index
-  // at or past the pre-call watermark) are recorded.
-  const auto note = [&](signal s, std::uint32_t r, std::size_t watermark) {
-    if (s.index() >= watermark) {
-      run.resize(net.num_nodes(), 0);
-      run[s.index()] = r;
+  old.foreach_node([&](node_index n) {
+    if (!old.is_majority(n) && !old.is_fanout_gate(n)) {
+      return;
     }
-  };
+    std::uint32_t incoming = 0;
+    for (const signal f : old.fanins(n)) {
+      if (needs_repeater(f)) {
+        ++result.repeaters_added;
+      } else if (!old.is_constant(f.index())) {
+        incoming = std::max(incoming, run[f.index()]);
+      }
+    }
+    run[n] = incoming + 1;
+    result.max_run_after = std::max(result.max_run_after, run[n]);
+  });
+
+  mig_network net;
+  net.reserve(old.num_nodes() + result.repeaters_added);
+  std::vector<signal> map(old.num_nodes(), constant0);
   const auto mapped = [&](signal f) -> signal {
     if (old.is_constant(f.index())) {
       return f;
     }
     return map[f.index()].complement_if(f.is_complemented());
   };
-  // One more level through a majority/FOG would exceed the budget: splice a
-  // regenerating repeater into this edge. Per edge, never shared — the
-  // driver's fan-out degree is preserved, so the pass composes with
-  // restrict_fanout without re-violating the limit.
-  const auto regenerated = [&](signal s) -> signal {
-    if (net.is_constant(s.index()) || run_of(s) + 1 <= budget) {
-      return s;
-    }
-    const std::size_t watermark = net.num_nodes();
-    const signal repeater = net.create_buffer(s);
-    note(repeater, 0, watermark);
-    ++result.repeaters_added;
-    return repeater;
+  const auto regenerated = [&](signal f) -> signal {
+    return needs_repeater(f) ? net.create_buffer(mapped(f)) : mapped(f);
   };
-
   old.foreach_node([&](node_index n) {
+    const auto fis = old.fanins(n);
     switch (old.kind(n)) {
       case node_kind::constant:
         return;
-      case node_kind::primary_input: {
-        const std::size_t watermark = net.num_nodes();
+      case node_kind::primary_input:
         map[n] = net.create_pi(old.pi_name(old.pi_position(n)));
-        note(map[n], 0, watermark);
         return;
-      }
       case node_kind::majority: {
-        const auto fis = old.fanins(n);
-        const signal a = regenerated(mapped(fis[0]));
-        const signal b = regenerated(mapped(fis[1]));
-        const signal c = regenerated(mapped(fis[2]));
-        const std::size_t watermark = net.num_nodes();
-        map[n] = net.create_maj(a, b, c);
-        const std::uint32_t incoming =
-            std::max({run_of(a), run_of(b), run_of(c)});
-        note(map[n], incoming + 1, watermark);
+        const signal a = regenerated(fis[0]);
+        const signal b = regenerated(fis[1]);
+        const signal c = regenerated(fis[2]);
+        map[n] = net.append_maj(a, b, c);
         return;
       }
-      case node_kind::buffer: {
-        const std::size_t watermark = net.num_nodes();
-        map[n] = net.create_buffer(mapped(old.fanins(n)[0]));
-        note(map[n], 0, watermark);
+      case node_kind::buffer:
+        map[n] = net.create_buffer(mapped(fis[0]));
         return;
-      }
-      case node_kind::fanout: {
-        const signal in = regenerated(mapped(old.fanins(n)[0]));
-        const std::size_t watermark = net.num_nodes();
-        map[n] = net.create_fanout(in);
-        note(map[n], run_of(in) + 1, watermark);
+      case node_kind::fanout:
+        map[n] = net.create_fanout(regenerated(fis[0]));
         return;
-      }
     }
   });
 
@@ -131,8 +117,7 @@ loss_budget_result enforce_loss_budget(const mig_network& old,
     net.create_po(mapped(driver), old.po_name(p));
   }
 
-  result.max_run_after = max_unregenerated_run(net);
-  result.depth_after = compute_levels(net).depth;
+  result.depth_after = net.depth();
   result.net = std::move(net);
   return result;
 }

@@ -69,12 +69,11 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
     current = &result.net;
   }
 
-  // One set of ASAP levels of the final netlist serves the statistics and
-  // the readiness check, which stays independent of the balancer's schedule.
-  const level_map levels = compute_levels(*current);
-  result.final_stats = compute_stats(*current, levels);
+  // The statistics and the readiness check read the final netlist's own
+  // ASAP levels, so readiness stays independent of the balancer's schedule.
+  result.final_stats = compute_stats(*current);
   result.depth_after = result.final_stats.depth;
-  result.wave_ready = check_wave_readiness(*current, levels, 0).ready;
+  result.wave_ready = check_wave_readiness(*current).ready;
   if (current == &net) {
     result.net = net;
   }

@@ -1,6 +1,7 @@
 #include "wavemig/wave_schedule.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "wavemig/levels.hpp"
 
@@ -16,12 +17,11 @@ void report(wave_readiness& r, std::string message) {
   }
 }
 
-}  // namespace
-
-wave_readiness check_wave_readiness(const mig_network& net, const level_map& schedule,
-                                    unsigned tolerance) {
+/// The check under the clock `level` (per node index) of depth `depth`.
+wave_readiness check_levels(const mig_network& net, std::span<const std::uint32_t> level,
+                            std::uint32_t depth, unsigned tolerance) {
   wave_readiness result;
-  result.depth = schedule.depth;
+  result.depth = depth;
   result.outputs_aligned = true;
 
   net.foreach_node([&](node_index n) {
@@ -29,8 +29,8 @@ wave_readiness check_wave_readiness(const mig_network& net, const level_map& sch
       if (net.is_constant(f.index())) {
         continue;
       }
-      const std::uint32_t producer = schedule.level[f.index()];
-      const std::uint32_t consumer = schedule.level[n];
+      const std::uint32_t producer = level[f.index()];
+      const std::uint32_t consumer = level[n];
       // The span is only meaningful on forward edges; a backward or
       // level-equal edge is reported as such instead of as a wrapped-around
       // unsigned difference.
@@ -55,7 +55,7 @@ wave_readiness check_wave_readiness(const mig_network& net, const level_map& sch
     if (net.is_constant(po.driver.index())) {
       continue;
     }
-    const std::uint32_t lvl = schedule.level[po.driver.index()];
+    const std::uint32_t lvl = level[po.driver.index()];
     po_min = std::min(po_min, lvl);
     po_max = std::max(po_max, lvl);
   }
@@ -69,8 +69,15 @@ wave_readiness check_wave_readiness(const mig_network& net, const level_map& sch
   return result;
 }
 
+}  // namespace
+
+wave_readiness check_wave_readiness(const mig_network& net, const level_map& schedule,
+                                    unsigned tolerance) {
+  return check_levels(net, schedule.level, schedule.depth, tolerance);
+}
+
 wave_readiness check_wave_readiness(const mig_network& net) {
-  return check_wave_readiness(net, compute_levels(net), 0);
+  return check_levels(net, net.levels(), net.depth(), 0);
 }
 
 }  // namespace wavemig

@@ -77,8 +77,11 @@ void run_ops_block(const compiled_netlist::maj_op* ops, std::size_t num_ops,
 
 }  // namespace
 
-compiled_netlist::compiled_netlist(const mig_network& net, compile_options options)
-    : compiled_netlist{net, compute_levels(net), options} {}
+compiled_netlist::compiled_netlist(const mig_network& net, compile_options options) {
+  options_ = options;
+  lower(net, net.levels(), net.depth());
+  optimize();
+}
 
 compiled_netlist::compiled_netlist(const mig_network& net, const level_map& schedule,
                                    compile_options options) {
@@ -86,7 +89,7 @@ compiled_netlist::compiled_netlist(const mig_network& net, const level_map& sche
     throw std::invalid_argument{"compiled_netlist: schedule does not match the network"};
   }
   options_ = options;
-  lower(net, &schedule);
+  lower(net, schedule.level, schedule.depth);
   optimize();
 }
 
@@ -96,7 +99,7 @@ compiled_netlist::compiled_netlist(const mig_network& net, const balance_plan& p
     throw std::invalid_argument{"compiled_netlist: balance plan does not match the network"};
   }
   options_ = options;
-  lower(net, nullptr);
+  lower(net, {}, 0);
   depth_ = plan.depth;
   po_levels_ = plan.po_levels;
   min_edge_span_ = plan.min_edge_span;
@@ -107,15 +110,16 @@ compiled_netlist::compiled_netlist(const mig_network& net, const balance_plan& p
 compiled_netlist compiled_netlist::comb_only(const mig_network& net, compile_options options) {
   compiled_netlist compiled;
   compiled.options_ = options;
-  compiled.lower(net, nullptr);
+  compiled.lower(net, {}, 0);
   compiled.optimize();
   return compiled;
 }
 
-void compiled_netlist::lower(const mig_network& net, const level_map* schedule) {
+void compiled_netlist::lower(const mig_network& net, std::span<const std::uint32_t> schedule,
+                             std::uint32_t depth) {
   num_pis_ = static_cast<std::uint32_t>(net.num_pis());
   num_pos_ = static_cast<std::uint32_t>(net.num_pos());
-  depth_ = schedule != nullptr ? schedule->depth : 0;
+  depth_ = depth;
 
   // Combinational program: fold buffers/fan-out gates by reference
   // forwarding, so the hot loop touches majority gates only. `comb_ref[n]`
@@ -134,12 +138,12 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
     return comb_ref[s.index()] ^ static_cast<slot_ref>(s.is_complemented());
   };
   const auto note_edge = [&](node_index consumer, signal fanin) {
-    if (schedule == nullptr || net.is_constant(fanin.index())) {
+    if (schedule.empty() || net.is_constant(fanin.index())) {
       return;  // no clock, or a constant fan-in, which carries no data wave
     }
     any_edge = true;
-    const std::uint32_t consumer_level = (*schedule)[consumer];
-    const std::uint32_t producer_level = (*schedule)[fanin.index()];
+    const std::uint32_t consumer_level = schedule[consumer];
+    const std::uint32_t producer_level = schedule[fanin.index()];
     const std::uint32_t span =
         consumer_level > producer_level ? consumer_level - producer_level : 0;
     min_edge_span_ = std::min(min_edge_span_, span);
@@ -174,7 +178,7 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
     }
   });
 
-  if (schedule == nullptr) {
+  if (schedule.empty()) {
     min_edge_span_ = 0;  // no schedule: never wave-coherent
     max_edge_span_ = 0;
   } else if (!any_edge) {
@@ -188,7 +192,7 @@ void compiled_netlist::lower(const mig_network& net, const level_map* schedule) 
   for (std::size_t p = 0; p < num_pos_; ++p) {
     const signal driver = net.po_signal(p);
     comb_po_refs_[p] = resolve(driver);
-    po_levels_[p] = schedule != nullptr ? (*schedule)[driver.index()] : 0;
+    po_levels_[p] = schedule.empty() ? 0 : schedule[driver.index()];
     po_constant_[p] = net.is_constant(driver.index());
   }
 }

@@ -18,7 +18,7 @@ struct site_state {
   fault_config config;
   bool armed{false};
   std::uint64_t hits{0};   ///< counted while armed
-  std::uint64_t fires{0};  ///< trigger firings (survives disarm)
+  std::uint64_t fires{0};  ///< trigger firings since arm() (survives disarm)
 };
 
 struct registry {
@@ -56,6 +56,7 @@ void arm(const std::string& site, fault_config config) {
   state.armed = true;
   state.config = config;
   state.hits = 0;
+  state.fires = 0;
 }
 
 void disarm(const std::string& site) {

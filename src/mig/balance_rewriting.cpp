@@ -27,12 +27,9 @@ struct score {
 class balance_builder {
 public:
   explicit balance_builder(mig_network& net, bool allow_area)
-      : net_{net}, allow_area_{allow_area} {
-    sync();
-  }
+      : net_{net}, allow_area_{allow_area} {}
 
   signal build(signal x, signal y, signal z) {
-    sync();  // PIs/buffers/fan-outs are created on the network directly
     const score plain = triple_score(x, y, z);
     score best = plain;
     int best_kind = 0;  // 0 plain, 1 associativity, 2 distributivity
@@ -98,32 +95,26 @@ public:
     signal result;
     switch (best_kind) {
       case 1: {
-        const signal inner = create(best_args[0], best_args[1], best_args[2]);
-        result = create(best_args[0], best_args[3], inner);
+        const signal inner = net_.create_maj(best_args[0], best_args[1], best_args[2]);
+        result = net_.create_maj(best_args[0], best_args[3], inner);
         break;
       }
       case 2: {
-        const signal left = create(best_args[0], best_args[1], best_args[2]);
-        const signal right = create(best_args[0], best_args[1], best_args[3]);
-        result = create(left, right, best_args[4]);
+        const signal left = net_.create_maj(best_args[0], best_args[1], best_args[2]);
+        const signal right = net_.create_maj(best_args[0], best_args[1], best_args[3]);
+        result = net_.create_maj(left, right, best_args[4]);
         break;
       }
       default:
-        result = create(x, y, z);
+        result = net_.create_maj(x, y, z);
         break;
     }
     return result;
   }
 
-  signal create(signal a, signal b, signal c) {
-    const signal s = net_.create_maj(a, b, c);
-    sync();
-    return s;
-  }
-
-  [[nodiscard]] std::uint32_t level_of(signal s) const {
-    return net_.is_constant(s.index()) ? 0 : levels_[s.index()];
-  }
+  /// Level in the network under construction, which it records as nodes
+  /// are appended.
+  [[nodiscard]] std::uint32_t level_of(signal s) const { return net_.level(s.index()); }
 
 private:
   /// Score of a fresh majority over three signals (spread ignores
@@ -164,22 +155,8 @@ private:
     return {hi + 1, hi - lo};
   }
 
-  void sync() {
-    while (levels_.size() < net_.num_nodes()) {
-      const auto n = static_cast<node_index>(levels_.size());
-      std::uint32_t lvl = 0;
-      for (const signal f : net_.fanins(n)) {
-        if (!net_.is_constant(f.index())) {
-          lvl = std::max(lvl, levels_[f.index()] + 1);
-        }
-      }
-      levels_.push_back(lvl);
-    }
-  }
-
   mig_network& net_;
   bool allow_area_;
-  std::vector<std::uint32_t> levels_;
 };
 
 mig_network rewrite_once(const mig_network& net, bool allow_area) {
@@ -222,12 +199,12 @@ std::uint64_t imbalance(const mig_network& net) {
 
 mig_network balance_rewrite(const mig_network& net, const balance_rewriting_options& options) {
   mig_network current = cleanup_dangling(net);
-  std::uint32_t best_depth = compute_levels(current).depth;
+  std::uint32_t best_depth = current.depth();
   std::uint64_t best_imbalance = imbalance(current);
 
   for (unsigned iteration = 0; iteration < options.max_iterations; ++iteration) {
     mig_network next = rewrite_once(current, options.allow_area_increase);
-    const std::uint32_t depth = compute_levels(next).depth;
+    const std::uint32_t depth = next.depth();
     const std::uint64_t slack = imbalance(next);
     if (depth > best_depth || (depth == best_depth && slack >= best_imbalance)) {
       break;

@@ -5,50 +5,10 @@
 #include <vector>
 
 #include "wavemig/cleanup.hpp"
-#include "wavemig/levels.hpp"
 
 namespace wavemig {
 
 namespace {
-
-/// Builder that tracks levels of the network under construction so that
-/// rewriting decisions can be made against the *new* structure.
-class leveled_builder {
-public:
-  explicit leveled_builder(mig_network& net) : net_{net} { sync(); }
-
-  [[nodiscard]] std::uint32_t level_of(signal s) const {
-    return net_.is_constant(s.index()) ? 0 : levels_[s.index()];
-  }
-
-  signal create_maj(signal a, signal b, signal c) {
-    const signal s = net_.create_maj(a, b, c);
-    sync();
-    return s;
-  }
-
-  mig_network& net() { return net_; }
-
-  /// Catches up on nodes created directly on the network (PIs, buffers,
-  /// fan-out gates). Must be called before level_of sees their signals —
-  /// otherwise level_of reads past the end of the level table.
-  void sync() {
-    while (levels_.size() < net_.num_nodes()) {
-      const auto n = static_cast<node_index>(levels_.size());
-      std::uint32_t lvl = 0;
-      for (const signal f : net_.fanins(n)) {
-        if (!net_.is_constant(f.index())) {
-          lvl = std::max(lvl, levels_[f.index()] + 1);
-        }
-      }
-      levels_.push_back(lvl);
-    }
-  }
-
-private:
-  mig_network& net_;
-  std::vector<std::uint32_t> levels_;
-};
 
 /// One candidate decomposition of a majority gate: the deepest fan-in `g`
 /// (which must reference a majority node) and the two shallow siblings.
@@ -58,9 +18,10 @@ struct split {
   signal s2;
 };
 
-signal build_with_rules(leveled_builder& b, signal x, signal y, signal z, bool allow_area) {
-  b.sync();  // PIs/buffers/fan-outs are created on the network directly
-  auto lvl = [&](signal s) { return b.level_of(s); };
+/// Rewriting decisions read the levels of the network under construction,
+/// which it records as nodes are appended.
+signal build_with_rules(mig_network& net, signal x, signal y, signal z, bool allow_area) {
+  auto lvl = [&](signal s) { return net.level(s.index()); };
   const std::uint32_t baseline = std::max({lvl(x), lvl(y), lvl(z)}) + 1;
 
   // Consider each fan-in as the critical decomposition point.
@@ -71,7 +32,6 @@ signal build_with_rules(leveled_builder& b, signal x, signal y, signal z, bool a
   bool found = false;
 
   for (const auto& sp : splits) {
-    const mig_network& net = b.net();
     if (!net.is_majority(sp.g.index())) {
       continue;
     }
@@ -110,10 +70,10 @@ signal build_with_rules(leveled_builder& b, signal x, signal y, signal z, bool a
         const std::uint32_t inner_est = std::max({lvl(p), lvl(u), lvl(other)}) + 1;
         const std::uint32_t est = std::max({lvl(q), lvl(u), inner_est}) + 1;
         if (est < best_level) {
-          const signal inner = b.create_maj(u, p, other);
-          const signal outer = b.create_maj(u, q, inner);
+          const signal inner = net.create_maj(u, p, other);
+          const signal outer = net.create_maj(u, q, inner);
           best_result = outer;
-          best_level = b.level_of(outer);
+          best_level = lvl(outer);
           found = true;
         }
       }
@@ -133,11 +93,11 @@ signal build_with_rules(leveled_builder& b, signal x, signal y, signal z, bool a
                     std::max({lvl(sp.s1), lvl(sp.s2), lvl(v)}) + 1, lvl(q)}) +
           1;
       if (est < best_level) {
-        const signal left = b.create_maj(sp.s1, sp.s2, u);
-        const signal right = b.create_maj(sp.s1, sp.s2, v);
-        const signal outer = b.create_maj(left, right, q);
+        const signal left = net.create_maj(sp.s1, sp.s2, u);
+        const signal right = net.create_maj(sp.s1, sp.s2, v);
+        const signal outer = net.create_maj(left, right, q);
         best_result = outer;
-        best_level = b.level_of(outer);
+        best_level = lvl(outer);
         found = true;
       }
     }
@@ -146,12 +106,11 @@ signal build_with_rules(leveled_builder& b, signal x, signal y, signal z, bool a
   if (found) {
     return best_result;
   }
-  return b.create_maj(x, y, z);
+  return net.create_maj(x, y, z);
 }
 
 mig_network rewrite_once(const mig_network& net, bool allow_area) {
   mig_network result;
-  leveled_builder builder{result};
 
   std::vector<signal> map(net.num_nodes(), constant0);
   net.foreach_node([&](node_index n) {
@@ -162,7 +121,7 @@ mig_network rewrite_once(const mig_network& net, bool allow_area) {
         break;
       case node_kind::majority: {
         const auto fis = net.fanins(n);
-        map[n] = build_with_rules(builder, mapped(fis[0]), mapped(fis[1]), mapped(fis[2]),
+        map[n] = build_with_rules(result, mapped(fis[0]), mapped(fis[1]), mapped(fis[2]),
                                   allow_area);
         break;
       }
@@ -187,11 +146,11 @@ mig_network rewrite_once(const mig_network& net, bool allow_area) {
 
 mig_network depth_rewrite(const mig_network& net, const depth_rewriting_options& options) {
   mig_network current = cleanup_dangling(net);
-  std::uint32_t best_depth = compute_levels(current).depth;
+  std::uint32_t best_depth = current.depth();
 
   for (unsigned iteration = 0; iteration < options.max_iterations; ++iteration) {
     mig_network next = rewrite_once(current, options.allow_area_increase);
-    const std::uint32_t next_depth = compute_levels(next).depth;
+    const std::uint32_t next_depth = next.depth();
     if (next_depth >= best_depth) {
       break;
     }

@@ -5,34 +5,8 @@
 namespace wavemig {
 
 level_map compute_levels(const mig_network& net) {
-  level_map result;
-  result.level.assign(net.num_nodes(), 0);
-
-  net.foreach_node([&](node_index n) {
-    std::uint32_t lvl = 0;
-    bool has_wave_input = false;
-    for (const signal f : net.fanins(n)) {
-      if (net.is_constant(f.index())) {
-        continue;
-      }
-      has_wave_input = true;
-      lvl = std::max(lvl, result.level[f.index()] + 1);
-    }
-    // A component fed only by constants would be degenerate; canonicalization
-    // prevents it for majority gates, and buffers/FOGs on constants keep
-    // level 0 + 1 via the has_wave_input fallback below.
-    if (!has_wave_input && (net.is_majority(n) || net.is_buffer(n) || net.is_fanout_gate(n))) {
-      lvl = 1;
-    }
-    result.level[n] = lvl;
-  });
-
-  for (const auto& po : net.pos()) {
-    if (!net.is_constant(po.driver.index())) {
-      result.depth = std::max(result.depth, result.level[po.driver.index()]);
-    }
-  }
-  return result;
+  const auto levels = net.levels();
+  return level_map{{levels.begin(), levels.end()}, net.depth()};
 }
 
 std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_map& levels,
@@ -95,10 +69,6 @@ std::size_t max_fanout_degree(const mig_network& net) {
 }
 
 network_stats compute_stats(const mig_network& net) {
-  return compute_stats(net, compute_levels(net));
-}
-
-network_stats compute_stats(const mig_network& net, const level_map& levels) {
   network_stats s;
   s.pis = net.num_pis();
   s.pos = net.num_pos();
@@ -106,7 +76,7 @@ network_stats compute_stats(const mig_network& net, const level_map& levels) {
   s.buffers = net.num_buffers();
   s.fanout_gates = net.num_fanout_gates();
   s.components = net.num_components();
-  s.depth = levels.depth;
+  s.depth = net.depth();
   s.max_fanout = max_fanout_degree(net);
   return s;
 }

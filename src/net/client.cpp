@@ -126,7 +126,7 @@ wire_response wire_client::run(run_request req) {
       wire_response resp = receive_matching(id);
       unanswered_.erase(id);
       return resp;
-    } catch (const socket_error& e) {
+    } catch (const socket_error&) {
       // The connection is unusable (reset, timed out mid-frame, or the
       // reconnect itself failed): discard it and back off before redialing.
       // Stashed responses were fully received and stay valid; the dead
@@ -144,6 +144,13 @@ wire_response wire_client::run(run_request req) {
         std::this_thread::sleep_for(std::chrono::duration<double, std::milli>{
             static_cast<double>(backoff) * jitter(jitter_)});
       }
+    } catch (...) {
+      // Anything else (a refused response, a preamble mismatch on
+      // reconnect) ends this call without a retry: stop tracking the
+      // request, or the next reconnect would replay it and stash its
+      // answer forever.
+      unanswered_.erase(id);
+      throw;
     }
   }
 }

@@ -22,7 +22,7 @@ circuit_metrics compute_metrics(const mig_network& net, const technology& tech,
                                 bool wave_pipelined, unsigned phases) {
   circuit_metrics m;
   m.components = count_components(net);
-  m.depth = compute_levels(net).depth;
+  m.depth = net.depth();
 
   const auto maj = static_cast<double>(m.components.majorities);
   const auto buf = static_cast<double>(m.components.buffers);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "wavemig/fanout_restriction.hpp"
 #include "wavemig/gen/arith.hpp"
+#include "wavemig/gen/suite.hpp"
+#include "wavemig/io/mig_format.hpp"
 #include "wavemig/levels.hpp"
 #include "wavemig/simulation.hpp"
 #include "wavemig/wave_schedule.hpp"
@@ -98,6 +104,94 @@ TEST(buffer_insertion, tree_with_unlimited_capacity_matches_chain) {
   const auto tree = insert_buffers(net, tree_opts);
   EXPECT_EQ(chained.buffers_added, tree.buffers_added);
   EXPECT_TRUE(check_wave_readiness(tree.net).ready);
+}
+
+std::string mig_text(const mig_network& net) {
+  std::ostringstream os;
+  io::write_mig(net, os);
+  return os.str();
+}
+
+TEST(buffer_insertion, trees_within_capacity_are_built_as_the_chain) {
+  // After restriction to 3, no driver has more than 3 edges, so a tree of
+  // capacity 3 holds one vertex per position: the chain, node for node,
+  // under every schedule and tolerance.
+  for (const char* circuit : {"sasc", "adder64", "barrel64", "mul16"}) {
+    fanout_restriction_options fo;
+    fo.limit = 3;
+    const mig_network net = restrict_fanout(gen::build_benchmark(circuit), fo).net;
+    ASSERT_LE(max_fanout_degree(net), 3u) << circuit;
+    for (const auto schedule :
+         {schedule_policy::asap, schedule_policy::alap, schedule_policy::mid_slack}) {
+      for (const unsigned tolerance : {0u, 1u}) {
+        buffer_insertion_options chain_opts;
+        chain_opts.strategy = buffer_strategy::chain;
+        chain_opts.schedule = schedule;
+        chain_opts.tolerance = tolerance;
+        buffer_insertion_options tree_opts = chain_opts;
+        tree_opts.strategy = buffer_strategy::tree;
+        tree_opts.fanout_limit = 3;
+        const auto chained = insert_buffers(net, chain_opts);
+        const auto tree = insert_buffers(net, tree_opts);
+        const std::string what = std::string{circuit} + " schedule " +
+                                 std::to_string(static_cast<int>(schedule)) + " tolerance " +
+                                 std::to_string(tolerance);
+        EXPECT_EQ(mig_text(tree.net), mig_text(chained.net)) << what;
+        EXPECT_EQ(tree.buffers_added, chained.buffers_added) << what;
+        EXPECT_EQ(tree.schedule.level, chained.schedule.level) << what;
+        EXPECT_EQ(tree.schedule.depth, chained.schedule.depth) << what;
+        EXPECT_LE(max_fanout_degree(tree.net), 3u) << what;
+      }
+    }
+  }
+}
+
+TEST(buffer_insertion, a_tree_over_capacity_leaves_its_neighbours_chained) {
+  // u feeds four consumers, at gaps 0, 1, 3 and 4, and needs a tree of
+  // capacity 2. v feeds two, at gaps 2 and 5, and keeps the chain's shape:
+  // five buffers in a row, the first on v, tapped after the second and the
+  // fifth. Private chains would hang two buffers off v.
+  mig_network net;
+  const signal u = net.create_pi("u");
+  const signal v = net.create_pi("v");
+  const signal x = net.create_pi("x");
+  const signal y = net.create_pi("y");
+  const signal l1 = net.create_maj(u, x, y);
+  const signal l2 = net.create_maj(l1, u, !x);
+  const signal l3 = net.create_maj(l2, v, x);
+  const signal l4 = net.create_maj(l3, u, y);
+  const signal l5 = net.create_maj(l4, u, !y);
+  net.create_po(net.create_maj(l5, v, x), "f");
+
+  buffer_insertion_options opts;
+  opts.strategy = buffer_strategy::tree;
+  opts.fanout_limit = 2;
+  const auto result = insert_buffers(net, opts);
+  EXPECT_TRUE(check_wave_readiness(result.net).ready);
+  EXPECT_TRUE(functionally_equivalent(net, result.net));
+  EXPECT_LE(max_fanout_degree(result.net), 2u);
+
+  const fanout_map fanouts = compute_fanouts(result.net);
+  const node_index v_new = result.net.pis()[1];
+  ASSERT_EQ(fanouts.degree(v_new), 1u);
+  node_index link = v_new;
+  for (int position = 1; position <= 5; ++position) {
+    node_index next = 0;
+    std::size_t gates = 0;
+    for (const auto& e : fanouts.edges[link]) {
+      if (e.consumer != fanout_map::po_consumer && result.net.is_buffer(e.consumer)) {
+        EXPECT_EQ(next, 0u) << "two buffers hang off position " << position - 1;
+        next = e.consumer;
+      } else {
+        ++gates;
+      }
+    }
+    EXPECT_EQ(gates, position == 3 ? 1u : 0u) << "taps after position " << position - 1;
+    ASSERT_NE(next, 0u) << "no buffer at position " << position;
+    link = next;
+  }
+  ASSERT_EQ(fanouts.degree(link), 1u);
+  EXPECT_TRUE(result.net.is_majority(fanouts.edges[link][0].consumer));
 }
 
 TEST(buffer_insertion, already_balanced_network_needs_nothing) {

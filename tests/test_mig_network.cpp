@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <vector>
+
+#include "wavemig/gen/random_mig.hpp"
+#include "wavemig/io/mig_format.hpp"
 #include "wavemig/simulation.hpp"
 
 namespace wavemig {
@@ -199,6 +205,115 @@ TEST(mig_network, index_order_is_topological) {
     }
   });
 }
+
+// ------------------------------------------------------------ append_maj ---
+
+std::string mig_text(const mig_network& net) {
+  std::ostringstream os;
+  io::write_mig(net, os);
+  return os.str();
+}
+
+/// Rebuilds `net` node by node, majority gates through append_maj.
+mig_network appended_copy(const mig_network& net) {
+  mig_network copy;
+  std::vector<signal> map(net.num_nodes(), constant0);
+  const auto mapped = [&](signal s) { return map[s.index()].complement_if(s.is_complemented()); };
+  net.foreach_node([&](node_index n) {
+    const auto fis = net.fanins(n);
+    switch (net.kind(n)) {
+      case node_kind::constant:
+        break;
+      case node_kind::primary_input:
+        map[n] = copy.create_pi(net.pi_name(net.pi_position(n)));
+        break;
+      case node_kind::majority:
+        map[n] = copy.append_maj(mapped(fis[2]), mapped(fis[0]), mapped(fis[1]));
+        break;
+      case node_kind::buffer:
+        map[n] = copy.create_buffer(mapped(fis[0]));
+        break;
+      case node_kind::fanout:
+        map[n] = copy.create_fanout(mapped(fis[0]));
+        break;
+    }
+  });
+  for (std::size_t p = 0; p < net.num_pos(); ++p) {
+    copy.create_po(mapped(net.po_signal(p)), net.po_name(p));
+  }
+  return copy;
+}
+
+TEST(mig_network, append_maj_stores_the_node_create_maj_would) {
+  gen::random_mig_profile profile;
+  profile.gates = 500;
+  const mig_network net = gen::random_mig(profile);
+  const mig_network copy = appended_copy(net);
+  EXPECT_EQ(mig_text(copy), mig_text(net));
+  EXPECT_EQ(copy.num_majorities(), net.num_majorities());
+  EXPECT_EQ(copy.depth(), net.depth());
+  ASSERT_EQ(copy.num_nodes(), net.num_nodes());
+  for (node_index n = 0; n < net.num_nodes(); ++n) {
+    ASSERT_EQ(copy.level(n), net.level(n)) << "node " << n;
+  }
+}
+
+TEST(mig_network, create_maj_after_appends_finds_every_appended_gate) {
+  // The appends skip the hash table; the first create_maj rebuilds it, and
+  // every existing gate is then found rather than created twice.
+  gen::random_mig_profile profile;
+  profile.gates = 300;
+  mig_network copy = appended_copy(gen::random_mig(profile));
+  const std::size_t nodes = copy.num_nodes();
+  copy.foreach_gate([&](node_index g) {
+    const auto fis = copy.fanins(g);
+    EXPECT_EQ(copy.create_maj(fis[1], fis[2], fis[0]), (signal{g, false}));
+    EXPECT_EQ(copy.create_maj(!fis[0], !fis[1], !fis[2]), (signal{g, true}));
+  });
+  EXPECT_EQ(copy.num_nodes(), nodes);
+
+  // And a new gate after that is hashed too.
+  const signal a = copy.create_pi();
+  const signal fresh = copy.create_maj(a, signal{1, false}, signal{2, true});
+  EXPECT_EQ(copy.num_nodes(), nodes + 2);
+  EXPECT_EQ(copy.create_maj(signal{2, true}, a, signal{1, false}), fresh);
+  EXPECT_EQ(copy.num_nodes(), nodes + 2);
+}
+
+TEST(mig_network, append_maj_refuses_every_violated_precondition) {
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  // Two or three complemented fan-ins: create_maj would flip them.
+  EXPECT_THROW(net.append_maj(!a, !b, c), std::logic_error);
+  EXPECT_THROW(net.append_maj(a, !b, !c), std::logic_error);
+  EXPECT_THROW(net.append_maj(!a, !b, !c), std::logic_error);
+  // A repeated fan-in node, either polarity: create_maj would reduce it.
+  EXPECT_THROW(net.append_maj(a, a, b), std::logic_error);
+  EXPECT_THROW(net.append_maj(a, b, !a), std::logic_error);
+  EXPECT_THROW(net.append_maj(constant0, a, constant1), std::logic_error);
+  // A node that does not exist (std::invalid_argument is a logic_error).
+  EXPECT_THROW(net.append_maj(a, b, signal{99, false}), std::logic_error);
+  EXPECT_EQ(net.num_nodes(), 4u);
+  EXPECT_EQ(net.num_majorities(), 0u);
+
+  const signal g = net.append_maj(c, !a, constant0);
+  EXPECT_FALSE(g.is_complemented());
+  EXPECT_EQ(net.level(g.index()), 1u);
+  EXPECT_EQ(net.num_majorities(), 1u);
+}
+
+#ifndef NDEBUG
+TEST(mig_network, checked_builds_refuse_an_append_of_an_existing_gate) {
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  net.create_maj(a, b, c);
+  EXPECT_DEATH(net.append_maj(c, b, a), "equal gate exists");
+}
+#endif
 
 }  // namespace
 }  // namespace wavemig

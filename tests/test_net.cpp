@@ -244,6 +244,95 @@ TEST(wire_protocol, response_frames_round_trip_for_ok_and_error) {
   fake_server.join();
 }
 
+// ------------------------------------------------------ client retries ---
+
+// A response the client refuses (its words disagree with its shape) ends
+// that run without a retry, and the request is no longer tracked: the next
+// run's reconnect re-sends only its own request, and no late answer to the
+// refused one is stashed.
+TEST(wire_client, a_refused_response_is_not_replayed_by_the_next_reconnect) {
+  constexpr std::uint64_t refused_id = 101;
+  constexpr std::uint64_t next_id = 102;
+  const auto run = [](std::uint64_t id) {
+    net::run_request req;
+    req.id = id;
+    req.phases = 3;
+    req.num_pis = 1;
+    req.fingerprint = 7;
+    req.num_waves = 64;
+    req.payload = {id};
+    return req;
+  };
+  const auto answer = [](net::tcp_socket& sock, std::uint64_t id, std::vector<std::uint64_t> words) {
+    net::wire_response resp;
+    resp.id = id;
+    resp.status = net::wire_status::ok;
+    resp.result.num_pos = 1;
+    resp.result.num_waves = 64;
+    resp.result.words = std::move(words);
+    const auto frame = response_frame(resp);
+    sock.write_all(frame.data(), frame.size());
+  };
+
+  auto listener = net::tcp_listener::listen_loopback(0);
+  const std::uint16_t port = listener.port();
+  std::vector<std::uint64_t> answered;  // ids read on the second connection
+  std::thread fake_server{[&, listener = std::move(listener)]() mutable {
+    try {
+      {
+        // First connection: one response with no words for one plane of
+        // 64 waves, which check_result_shape refuses; then hang up.
+        auto sock = listener.accept();
+        if (!net::read_preamble(sock)) {
+          return;
+        }
+        net::write_preamble(sock);
+        const auto req = std::get<net::run_request>(net::read_request_frame(sock, 1u << 20));
+        answer(sock, req.id, {});
+      }
+      // Second connection (the reconnect): answer every request read, until
+      // the second run's, then hang up.
+      auto sock = listener.accept();
+      if (!net::read_preamble(sock)) {
+        return;
+      }
+      net::write_preamble(sock);
+      for (;;) {
+        const auto req = std::get<net::run_request>(net::read_request_frame(sock, 1u << 20));
+        answered.push_back(req.id);
+        answer(sock, req.id, {req.id});
+        if (req.id == next_id) {
+          break;
+        }
+      }
+    } catch (const std::exception&) {
+      // The client hung up early; its assertions below say why.
+    }
+  }};
+  try {
+    auto client = net::wire_client::connect(port);
+    net::retry_policy policy;
+    policy.max_attempts = 3;
+    policy.base_backoff = std::chrono::milliseconds{1};
+    policy.try_timeout = std::chrono::milliseconds{5000};
+    client.set_retry_policy(policy);
+
+    EXPECT_THROW((void)client.run(run(refused_id)), net::protocol_error);
+    const auto resp = client.run(run(next_id));
+    EXPECT_EQ(resp.id, next_id);
+    EXPECT_EQ(resp.result.words, std::vector<std::uint64_t>{next_id});
+    EXPECT_EQ(client.stats().reconnects, 1u);
+    EXPECT_EQ(client.stats().resends, 1u);
+    // The stash is empty: receive() goes to the socket, which the fake
+    // server closed after its last answer.
+    EXPECT_THROW((void)client.receive(), net::socket_error);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "client: " << e.what();
+  }
+  fake_server.join();
+  EXPECT_EQ(answered, std::vector<std::uint64_t>{next_id});
+}
+
 // ------------------------------------------------- the differential pin ---
 
 /// The acceptance pin: responses served over loopback are bit-identical to

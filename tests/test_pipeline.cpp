@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
+#include "wavemig/engine/compiled_netlist.hpp"
 #include "wavemig/gen/arith.hpp"
 #include "wavemig/gen/suite.hpp"
 #include "wavemig/io/mig_format.hpp"
@@ -320,6 +322,93 @@ TEST(pipeline, exact_structure_is_pinned) {
     io::write_mig(result.net, os);
     EXPECT_EQ(fnv1a(os.str()), g.text_hash) << g.circuit << " " << g.scenario;
     EXPECT_EQ(counters(result), g.counters) << g.circuit << " " << g.scenario;
+  }
+}
+
+std::string mig_text(const mig_network& net) {
+  std::ostringstream os;
+  io::write_mig(net, os);
+  return os.str();
+}
+
+/// Everything a flow run produced that a later run must reproduce: the
+/// written netlist, every counter, and the program compiled from it.
+std::string flow_fingerprint(const pipeline_result& r) {
+  const engine::compiled_netlist program{r.net};
+  std::string levels;
+  for (const std::uint32_t l : program.po_levels()) {
+    levels += std::to_string(l) + ",";
+  }
+  return mig_text(r.net) + counters(r) + " ops " + std::to_string(program.num_comb_ops()) +
+         " slots " + std::to_string(program.comb_slot_count()) + " depth " +
+         std::to_string(program.depth()) + " coherent " +
+         std::to_string(program.wave_coherent(3)) + " po levels " + levels;
+}
+
+TEST(pipeline, repeated_runs_build_the_same_netlist_wherever_the_input_lives) {
+  // Nothing a run leaves behind may change the next: no working buffer or
+  // cache survives a call, and nothing is keyed by a network's address. Each
+  // circuit runs twice on one object, with another circuit in between, and
+  // once on a copy elsewhere on the heap.
+  const mig_network between = gen::build_benchmark("tv80");
+  for (const char* circuit : {"sasc", "fsm_ctrl", "mac16"}) {
+    for (const char* scenario : {"SWD", "FDM-SWD"}) {
+      pipeline_options opts;
+      opts.scenario = tech_scenario::by_name(scenario);
+      const mig_network net = gen::build_benchmark(circuit);
+      const std::string first = flow_fingerprint(wave_pipeline(net, opts));
+      (void)wave_pipeline(between, opts);
+      const std::string second = flow_fingerprint(wave_pipeline(net, opts));
+      const auto copy = std::make_unique<mig_network>(net);
+      ASSERT_NE(copy.get(), &net);
+      const std::string third = flow_fingerprint(wave_pipeline(*copy, opts));
+      EXPECT_EQ(second, first) << circuit << " " << scenario;
+      EXPECT_EQ(third, first) << circuit << " " << scenario;
+    }
+  }
+}
+
+/// A rebuilt network is still structurally hashed: create_maj on each
+/// gate's own fan-ins finds that gate, and adds no node.
+void expect_strashed(mig_network net, const std::string& what) {
+  const std::size_t nodes = net.num_nodes();
+  std::size_t misses = 0;
+  net.foreach_gate([&](node_index g) {
+    const auto fis = net.fanins(g);
+    if (net.create_maj(fis[2], fis[0], fis[1]) != signal{g, false}) {
+      ++misses;
+    }
+  });
+  EXPECT_EQ(misses, 0u) << what;
+  EXPECT_EQ(net.num_nodes(), nodes) << what;
+}
+
+TEST(pipeline, every_rebuilding_pass_leaves_a_strashed_network) {
+  for (const char* circuit : {"sasc", "barrel64", "fsm_ctrl"}) {
+    const mig_network net = gen::build_benchmark(circuit);
+    for (const unsigned limit : {2u, 3u}) {
+      const std::string what = std::string{circuit} + " limit " + std::to_string(limit);
+      fanout_restriction_options fo;
+      fo.limit = limit;
+      const mig_network restricted = restrict_fanout(net, fo).net;
+      expect_strashed(restricted, what + " restricted");
+
+      loss_budget_options lb;
+      lb.max_unregenerated_levels = 3;
+      const mig_network regenerated = enforce_loss_budget(restricted, lb).net;
+      expect_strashed(regenerated, what + " loss budget");
+
+      for (const auto strategy : {buffer_strategy::naive, buffer_strategy::chain}) {
+        buffer_insertion_options bi;
+        bi.strategy = strategy;
+        expect_strashed(insert_buffers(regenerated, bi).net,
+                        what + " balanced, strategy " + std::to_string(static_cast<int>(strategy)));
+      }
+      buffer_insertion_options tree;
+      tree.strategy = buffer_strategy::tree;
+      tree.fanout_limit = limit;
+      expect_strashed(insert_buffers(regenerated, tree).net, what + " balanced as trees");
+    }
   }
 }
 

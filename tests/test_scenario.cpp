@@ -159,6 +159,7 @@ TEST(loss_budget, enforces_the_budget_and_preserves_the_function) {
     const auto result = enforce_loss_budget(net, {budget});
     EXPECT_LE(result.max_run_after, budget) << "budget " << budget;
     EXPECT_LE(worst_run(result.net), budget) << "budget " << budget;
+    EXPECT_EQ(result.max_run_after, worst_run(result.net)) << "budget " << budget;
     EXPECT_TRUE(functionally_equivalent(net, result.net)) << "budget " << budget;
     if (result.max_run_before > budget) {
       EXPECT_GT(result.repeaters_added, 0u) << "budget " << budget;
