@@ -30,9 +30,6 @@ struct buffer_insertion_options {
   /// Fan-out capacity honored by the `tree` strategy (taps + chain
   /// continuation per vertex). Ignored by `naive`/`chain`.
   std::optional<unsigned> fanout_limit{};
-  /// Pad every primary output to the maximum output depth (second loop of
-  /// Algorithm 1). Disable only for experiments.
-  bool pad_outputs{true};
   /// Level assignment driving the per-edge buffer demand. The paper uses
   /// ASAP levels; ALAP/mid-slack redistribute slack and can shrink the
   /// buffer bill at identical depth (scheduling ablation bench).

@@ -65,7 +65,9 @@ public:
   /// `compiled_netlist{b.net, b.schedule, options}` with
   /// `b = insert_buffers(net, balance)` — buffers fold out of the comb
   /// program, and the plan fixes depth, PO levels and spans before any
-  /// buffer exists. This is what a `batch_session` cache miss compiles.
+  /// buffer exists. This is what every `batch_session` cache miss compiles,
+  /// untagged or under a scenario, so every served program is clocked by
+  /// the balancer's schedule.
   compiled_netlist(const mig_network& net, const balance_plan& plan,
                    compile_options options = {});
 
@@ -97,9 +99,6 @@ public:
   [[nodiscard]] std::size_t comb_slot_count() const { return comb_slot_count_; }
   /// The options this program was compiled with.
   [[nodiscard]] compile_options options() const { return options_; }
-  /// What the optimizer did (pass counters all zero at opt level 0, where
-  /// `*_before` and `*_after` both describe the raw lowering).
-  [[nodiscard]] const optimizer_stats& opt_stats() const { return opt_stats_; }
   /// Scheduled depth (max level over all primary-output drivers).
   [[nodiscard]] std::uint32_t depth() const { return depth_; }
   /// @}
@@ -210,12 +209,10 @@ private:
              std::uint32_t depth);
 
   /// Runs the post-lowering optimizer over the combinational program
-  /// (optimizer.cpp) at options_.opt_level. Fills opt_stats_; a no-op at
-  /// opt level 0.
+  /// (optimizer.cpp) at options_.opt_level; a no-op at opt level 0.
   void optimize();
 
   compile_options options_{};
-  optimizer_stats opt_stats_{};
   std::uint32_t num_pis_{0};
   std::uint32_t num_pos_{0};
   std::uint32_t depth_{0};

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace wavemig::engine {
@@ -25,6 +24,10 @@ namespace wavemig::engine {
 ///   reassigns op target slots from a free list, so the scratch working set
 ///   shrinks from one slot per gate to the program's peak liveness. This is
 ///   what keeps the multi-word packed kernel cache-resident on big MIGs.
+///
+/// What a level did shows in the program itself: compare its
+/// `num_comb_ops()` and `comb_slot_count()` with those of the same network
+/// compiled at level 0.
 struct compile_options {
   unsigned opt_level{0};
   /// Technology-scenario tag of the program (tech_scenario::fingerprint());
@@ -56,24 +59,5 @@ struct compile_options {
   mix(o.fdm_lanes);
   return h;
 }
-
-/// What the optimizer did to one compiled program. `ops_before/after` and
-/// `slots_before/after` are the headline numbers (`*_before` describes the
-/// raw lowering); the pass counters attribute the op shrinkage.
-/// `peak_live_slots` is the measured peak liveness of the final program
-/// order — the maximum number of gate values simultaneously live — filled
-/// whenever the optimizer runs (opt level >= 1). At opt level >= 2 the slot
-/// recycler allocates exactly that many gate slots, so `slots_after` equals
-/// `peak_live_slots` plus the fixed constant/PI slots.
-struct optimizer_stats {
-  std::size_t ops_before{0};
-  std::size_t ops_after{0};
-  std::size_t slots_before{0};
-  std::size_t slots_after{0};
-  std::size_t constants_folded{0};
-  std::size_t cse_hits{0};
-  std::size_t dead_ops_removed{0};
-  std::size_t peak_live_slots{0};
-};
 
 }  // namespace wavemig::engine

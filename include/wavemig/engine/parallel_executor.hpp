@@ -158,20 +158,14 @@ struct cache_limits {
 
 /// Point-in-time counters of a session's compiled-netlist cache. `hits` /
 /// `misses` / `evictions` are monotonic over the session's lifetime;
-/// `entries` / `bytes` / `comb_ops` / `comb_slots` describe what is
-/// resident right now (`bytes` never exceeds `cache_limits::max_bytes` when
-/// that bound is set). The op/slot totals are summed over the resident
-/// compiled programs — with the optimizer on (compile_options::opt_level),
-/// they are what the session actually executes and keeps hot, not what the
-/// raw networks dictate.
+/// `entries` / `bytes` describe what is resident right now (`bytes` never
+/// exceeds `cache_limits::max_bytes` when that bound is set).
 struct session_stats {
   std::uint64_t hits{0};
   std::uint64_t misses{0};
   std::uint64_t evictions{0};
   std::size_t entries{0};
   std::size_t bytes{0};
-  std::size_t comb_ops{0};
-  std::size_t comb_slots{0};
 };
 
 /// Serving-style compiled-netlist cache: the first batch against a network
@@ -214,8 +208,9 @@ public:
   /// A miss builds no balancing buffer. It lowers the unbalanced netlist and
   /// takes depth, PO levels and edge spans from `plan_balance`, which gives
   /// the program — comb ops, slots and clock metadata — that lowering the
-  /// balanced netlist would. Only the packed program is cached; the
-  /// cycle-accurate `tick_program` is never built here.
+  /// balanced netlist under its schedule would: every served program is
+  /// fired by the balancer's one clock. Only the packed program is cached;
+  /// the cycle-accurate `tick_program` is never built here.
   ///
   /// * `scenario` — null means none: the miss plans `insert_buffers` with
   ///   the session options, refusing exactly what it refuses (a tree under
@@ -224,14 +219,16 @@ public:
   ///   equal to `compiled_netlist{b.net, b.schedule}` with
   ///   `b = insert_buffers(net, options)`. Otherwise the miss runs
   ///   wave_pipeline's fan-out restriction and loss budget
-  ///   (`prepare_for_balancing`, with this session's strategy and schedule
-  ///   and the scenario's fan-out limit and loss budget) and plans the
-  ///   balancing wave_pipeline would do (`balance_options`): the program
-  ///   equals `compiled_netlist{wave_pipeline(net, prep).net}`. It carries
-  ///   the scenario fingerprint and FDM lane count in its compile options,
-  ///   and the key gains the scenario fingerprint — so the same netlist
-  ///   under two scenarios, or with and without one, occupies distinct
-  ///   entries.
+  ///   (`prepared = prepare_for_balancing(net, prep)`, with this session's
+  ///   strategy and schedule and the scenario's fan-out limit and loss
+  ///   budget) and plans the balancing wave_pipeline would do: the program
+  ///   equals `compiled_netlist{b.net, b.schedule}` with
+  ///   `b = insert_buffers(prepared, balance_options(prep))`, which under
+  ///   `asap` is `compiled_netlist{wave_pipeline(net, prep).net}`. It
+  ///   carries the scenario fingerprint and FDM lane count in its compile
+  ///   options, and the key gains the scenario fingerprint — so the same
+  ///   netlist under two scenarios, or with and without one, occupies
+  ///   distinct entries.
   /// * `opts` — per-program compile options; nullopt means the session's.
   ///   Every key carries the options fingerprint, so the same netlist at two
   ///   opt levels occupies two entries and can never cross-serve.

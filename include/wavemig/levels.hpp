@@ -26,12 +26,6 @@ struct level_map {
 /// append-only, so these are final; nothing walks the fan-ins here.
 level_map compute_levels(const mig_network& net);
 
-/// Maximum exclusive base distance of a node: one level below the node's own
-/// level, i.e. the depth of its deepest non-constant fan-in. Defined for
-/// components; returns 0 for PIs/constants.
-std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_map& levels,
-                                          node_index n);
-
 /// Fan-out structure of a network. For each driver node, lists every
 /// consumer fan-in slot and every primary output it feeds. A slot is a
 /// physical connection: a node consuming the same driver through several

@@ -87,9 +87,6 @@ public:
   signal create_or(signal a, signal b) { return create_maj(a, b, constant1); }
   /// XOR from three majority gates.
   signal create_xor(signal a, signal b);
-  /// Three-input XOR (the full-adder sum), four majority gates of which one
-  /// is the carry M(a,b,c) and is shared with callers that also need it.
-  signal create_xor3(signal a, signal b, signal c);
   /// Multiplexer sel ? t : e built from AND/OR majority gates.
   signal create_mux(signal sel, signal t, signal e);
 

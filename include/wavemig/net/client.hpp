@@ -99,7 +99,6 @@ public:
   /// connection immediately). The default-constructed policy restores the
   /// non-retrying behavior.
   void set_retry_policy(retry_policy policy);
-  [[nodiscard]] const retry_policy& get_retry_policy() const { return policy_; }
   [[nodiscard]] const client_stats& stats() const { return stats_; }
 
   /// Shuts the connection down (both directions).

@@ -43,9 +43,6 @@ public:
   /// The explicit limit; only valid when `operator bool()` is true.
   constexpr unsigned operator*() const { return limit_; }
 
-  /// True when the limit derives from the scenario (the default state).
-  [[nodiscard]] constexpr bool derived() const { return state_ == state::derive; }
-
   /// The effective limit against a scenario — the documented precedence:
   /// an explicit value wins, `reset()` means unlimited, otherwise the
   /// scenario's fan-out capability applies (which may itself be unlimited).
@@ -93,12 +90,10 @@ struct pipeline_options {
   /// Level scheduling for the balancing pass (see scheduling.hpp).
   schedule_policy schedule{schedule_policy::asap};
   /// Technology scenario the flow targets. Supplies the derived fan-out
-  /// limit and the attenuation/regeneration budget. The default (SWD) is
-  /// lossless with fan-out 3 — bit-identical to the historical behavior.
+  /// limit and the attenuation/regeneration budget; the loss-budget pass
+  /// runs whenever the scenario has one. The default (SWD) is lossless with
+  /// fan-out 3 — bit-identical to the historical behavior.
   tech_scenario scenario{tech_scenario::swd()};
-  /// Run the loss-budget pass when the scenario has an attenuation budget
-  /// (between restriction and balancing). Disable to study the raw flow.
-  bool enforce_loss{true};
 };
 
 struct pipeline_result {
@@ -114,7 +109,7 @@ struct pipeline_result {
   std::size_t balance_buffers_added{0};
   std::size_t delayed_edges{0};
   /// Longest unregenerated run entering the loss-budget pass (0 when the
-  /// pass did not run — lossless scenario or enforce_loss false).
+  /// pass did not run: the scenario is lossless).
   std::uint32_t max_attenuation_run{0};
   std::uint32_t depth_before{0};
   std::uint32_t depth_after{0};

@@ -33,7 +33,7 @@ public:
   [[nodiscard]] std::uint32_t gap_of(node_index n, const fanout_map::edge& e) const {
     std::uint32_t gap;
     if (e.consumer == fanout_map::po_consumer) {
-      gap = options_.pad_outputs ? levels_.depth - levels_[n] : 0;
+      gap = levels_.depth - levels_[n];  // Algorithm 1's second loop: pad to the depth
     } else {
       gap = levels_[e.consumer] - levels_[n] - 1;
     }

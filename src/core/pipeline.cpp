@@ -30,9 +30,7 @@ const mig_network& prepare_for_balancing(const mig_network& net,
   // Loss budget after restriction (repeaters are per-edge, so the limit is
   // preserved) and before balancing (balance buffers regenerate, so
   // balancing never re-violates the budget).
-  const std::optional<unsigned> budget =
-      options.enforce_loss ? options.scenario.max_unregenerated_levels() : std::nullopt;
-  if (budget) {
+  if (const std::optional<unsigned> budget = options.scenario.max_unregenerated_levels()) {
     loss_budget_options lb;
     lb.max_unregenerated_levels = budget;
     auto regenerated = enforce_loss_budget(*current, lb);

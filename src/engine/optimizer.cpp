@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <array>
 #include <unordered_map>
 #include <utility>
@@ -54,51 +53,10 @@ bool fold_majority(slot_ref a, slot_ref b, slot_ref c, slot_ref& out) {
   return false;
 }
 
-/// Measured peak liveness of a program order: the maximum number of gate
-/// values simultaneously live, counting a value from its defining op until
-/// its last consuming op (PO-referenced values never die). Mirrors the slot
-/// recycler's free-before-allocate accounting exactly, so at opt level >= 2
-/// `slots_after - fixed` equals this number.
-std::size_t measure_peak_liveness(const std::vector<maj_op>& ops,
-                                  const std::vector<slot_ref>& po_refs,
-                                  std::uint32_t slot_count, std::uint32_t fixed) {
-  const std::size_t n = ops.size();
-  constexpr std::size_t used_by_po = ~std::size_t{0};
-  std::vector<std::size_t> last_use(slot_count, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    last_use[ops[i].a >> 1] = i;
-    last_use[ops[i].b >> 1] = i;
-    last_use[ops[i].c >> 1] = i;
-  }
-  for (const slot_ref ref : po_refs) {
-    last_use[ref >> 1] = used_by_po;
-  }
-  std::vector<std::uint8_t> dead(slot_count, 0);
-  std::size_t live = 0;
-  std::size_t peak = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const slot_ref ref : {ops[i].a, ops[i].b, ops[i].c}) {
-      const std::uint32_t s = ref >> 1;
-      if (s >= fixed && last_use[s] == i && !dead[s]) {
-        dead[s] = 1;
-        --live;
-      }
-    }
-    ++live;  // the target is born (and stays live forever if never used)
-    peak = std::max(peak, live);
-  }
-  return peak;
-}
-
 }  // namespace
 
 void compiled_netlist::optimize() {
   const unsigned opt_level = options_.opt_level;
-  opt_stats_ = {};
-  opt_stats_.ops_before = comb_ops_.size();
-  opt_stats_.slots_before = comb_slot_count_;
-  opt_stats_.ops_after = comb_ops_.size();
-  opt_stats_.slots_after = comb_slot_count_;
   if (opt_level == 0) {
     return;
   }
@@ -126,7 +84,6 @@ void compiled_netlist::optimize() {
 
     if (slot_ref folded = 0; fold_majority(a, b, c, folded)) {
       fwd[o.target] = folded;
-      ++opt_stats_.constants_folded;
       continue;
     }
 
@@ -144,7 +101,6 @@ void compiled_netlist::optimize() {
     const std::array<slot_ref, 3> key{a, b, c};
     if (const auto it = structural.find(key); it != structural.end()) {
       fwd[o.target] = it->second ^ out_complement;
-      ++opt_stats_.cse_hits;
       continue;
     }
     kept.push_back({o.target, a, b, c});
@@ -172,12 +128,7 @@ void compiled_netlist::optimize() {
     live[o.b >> 1] = 1;
     live[o.c >> 1] = 1;
   }
-  const std::size_t before_dce = kept.size();
   std::erase_if(kept, [&](const maj_op& o) { return !live[o.target]; });
-  opt_stats_.dead_ops_removed = before_dce - kept.size();
-
-  opt_stats_.peak_live_slots =
-      measure_peak_liveness(kept, comb_po_refs_, comb_slot_count_, fixed);
 
   // ---- slot assignment. Targets still carry their raw-lowering slot ids,
   // so the folded/CSE'd/dead holes must be compacted:
@@ -247,8 +198,6 @@ void compiled_netlist::optimize() {
 
   comb_ops_ = std::move(kept);
   comb_ops_.shrink_to_fit();
-  opt_stats_.ops_after = comb_ops_.size();
-  opt_stats_.slots_after = comb_slot_count_;
 }
 
 }  // namespace wavemig::engine

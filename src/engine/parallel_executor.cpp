@@ -256,25 +256,6 @@ std::uint64_t network_fingerprint(const mig_network& net) {
   return h;
 }
 
-namespace {
-
-/// True when some component of `net` reads only constants yet sits above
-/// level 1 in `schedule`.
-bool has_lifted_constant_component(const mig_network& net, const level_map& schedule) {
-  bool lifted = false;
-  net.foreach_component([&](node_index n) {
-    const auto fis = net.fanins(n);
-    if (schedule[n] > 1 && std::all_of(fis.begin(), fis.end(), [&](signal f) {
-          return net.is_constant(f.index());
-        })) {
-      lifted = true;
-    }
-  });
-  return lifted;
-}
-
-}  // namespace
-
 std::size_t batch_session::cache_key_hash::operator()(const cache_key& k) const noexcept {
   std::uint64_t h = k.fingerprint;
   h ^= (static_cast<std::uint64_t>(k.strategy) + 1) * 0x9e3779b97f4a7c15ull;
@@ -356,39 +337,29 @@ std::shared_ptr<const compiled_netlist> batch_session::compile(
     return program;
   }
 
-  // Plan + lower + optimize outside the lock; a concurrent miss on the
-  // same key compiles the identical program and the first insert wins. The
-  // miss lowers the unbalanced netlist and takes its clock from the balance
-  // plan, so no balancing buffer is ever built: the program equals the one
-  // compiled from the balanced netlist (see compiled_netlist's balance_plan
-  // constructor).
-  if (scenario == nullptr) {
-    return insert(key, std::make_shared<const compiled_netlist>(
-                           net, plan_balance(net, options_), effective));
-  }
-  // Scenario preparation is wave_pipeline's own first half — fan-out
+  // Prepare + plan + lower + optimize outside the lock; a concurrent miss
+  // on the same key compiles the identical program and the first insert
+  // wins. A scenario first runs wave_pipeline's own first half — fan-out
   // restriction at the scenario's capability, then loss-budget repeaters —
-  // planned with the balance options wave_pipeline would use (this
-  // session's strategy and schedule, trees under the scenario's limit).
-  pipeline_options prep;
-  prep.scenario = *scenario;
-  prep.strategy = options_.strategy;
-  prep.schedule = options_.schedule;
+  // and balances as wave_pipeline would (this session's strategy and
+  // schedule, trees under the scenario's limit). Either way the miss lowers
+  // the unbalanced netlist and takes its clock from the balance plan, so no
+  // balancing buffer is ever built: the program equals the one compiled
+  // from the balanced netlist under its schedule (see compiled_netlist's
+  // balance_plan constructor).
+  const mig_network* source = &net;
+  buffer_insertion_options balance = options_;
   pipeline_result staged;
-  const mig_network& prepared = prepare_for_balancing(net, prep, staged);
-  const buffer_insertion_options balance = balance_options(prep);
-  const balance_plan plan = plan_balance(prepared, balance);
-  // A scenario program is clocked by the ASAP levels of the balanced
-  // netlist. They agree with the plan's schedule unless a component fed
-  // only by constants was scheduled above level 1 (ASAP puts it at 1),
-  // which only alap or mid_slack can do: such a netlist is balanced and
-  // compiled the long way.
-  if (balance.schedule != schedule_policy::asap &&
-      has_lifted_constant_component(prepared, plan.schedule)) {
-    return insert(key, std::make_shared<const compiled_netlist>(
-                           insert_buffers(prepared, balance).net, effective));
+  if (scenario != nullptr) {
+    pipeline_options prep;
+    prep.scenario = *scenario;
+    prep.strategy = options_.strategy;
+    prep.schedule = options_.schedule;
+    source = &prepare_for_balancing(net, prep, staged);
+    balance = balance_options(prep);
   }
-  return insert(key, std::make_shared<const compiled_netlist>(prepared, plan, effective));
+  return insert(key, std::make_shared<const compiled_netlist>(
+                         *source, plan_balance(*source, balance), effective));
 }
 
 packed_wave_result batch_session::run(const mig_network& net, const wave_batch& waves,
@@ -399,12 +370,7 @@ packed_wave_result batch_session::run(const mig_network& net, const wave_batch& 
 
 session_stats batch_session::stats() const {
   std::lock_guard<std::mutex> lock{mutex_};
-  session_stats s{hits_, misses_, evictions_, cache_.size(), bytes_, 0, 0};
-  for (const auto& [key, entry] : cache_) {
-    s.comb_ops += entry.program->num_comb_ops();
-    s.comb_slots += entry.program->comb_slot_count();
-  }
-  return s;
+  return {hits_, misses_, evictions_, cache_.size(), bytes_};
 }
 
 }  // namespace wavemig::engine

@@ -271,7 +271,8 @@ mig_network hamming_codec_circuit(unsigned parity_bits) {
       const bool bit = (pos >> p) & 1u;
       match = net.create_and(match, syndrome[p].complement_if(!bit));
     }
-    net.create_po(net.create_xor(received[pos], match), "q" + std::to_string(d++));
+    net.create_po(net.create_xor(received[pos], match),
+                  std::string{"q"}.append(std::to_string(d++)));
   }
   return net;
 }
@@ -303,7 +304,7 @@ mig_network max_circuit(unsigned width, unsigned ways) {
   std::vector<word> values;
   values.reserve(ways);
   for (unsigned i = 0; i < ways; ++i) {
-    values.push_back(make_input_word(net, width, "v" + std::to_string(i)));
+    values.push_back(make_input_word(net, width, std::string{"v"}.append(std::to_string(i))));
   }
   while (values.size() > 1) {
     std::vector<word> next;

@@ -70,10 +70,10 @@ mig_network fsm_circuit(unsigned state_bits, unsigned input_bits, std::uint64_t 
 
   std::vector<signal> inputs;
   for (unsigned b = 0; b < state_bits; ++b) {
-    inputs.push_back(net.create_pi("s" + std::to_string(b)));
+    inputs.push_back(net.create_pi(std::string{"s"}.append(std::to_string(b))));
   }
   for (unsigned b = 0; b < input_bits; ++b) {
-    inputs.push_back(net.create_pi("i" + std::to_string(b)));
+    inputs.push_back(net.create_pi(std::string{"i"}.append(std::to_string(b))));
   }
 
   for (unsigned b = 0; b < state_bits; ++b) {

@@ -75,7 +75,7 @@ mig_network decoder_circuit(unsigned bits) {
       }
       literals = std::move(next);
     }
-    net.create_po(literals.front(), "d" + std::to_string(v));
+    net.create_po(literals.front(), std::string{"d"}.append(std::to_string(v)));
   }
   return net;
 }
@@ -152,7 +152,7 @@ mig_network arbiter_circuit(unsigned width) {
       }
       grant = net.create_or(grant, net.create_and(is_ptr[p], net.create_and(req[g], none_before)));
     }
-    net.create_po(grant, "g" + std::to_string(g));
+    net.create_po(grant, std::string{"g"}.append(std::to_string(g)));
   }
   return net;
 }
@@ -187,7 +187,7 @@ mig_network wide_io_circuit(unsigned inputs, unsigned outputs) {
       }
       layer = std::move(next);
     }
-    net.create_po(layer.front(), "m" + std::to_string(j));
+    net.create_po(layer.front(), std::string{"m"}.append(std::to_string(j)));
   }
   return net;
 }

@@ -239,7 +239,7 @@ public:
     auto [it, inserted] = node_names_.try_emplace(n);
     if (inserted) {
       it->second = net_.is_pi(n) ? pi_names_[net_.pi_position(n)]
-                                 : claim("n" + std::to_string(n));
+                                 : claim(std::string{"n"}.append(std::to_string(n)));
     }
     return it->second;
   }

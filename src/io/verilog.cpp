@@ -12,14 +12,14 @@ std::string v_name(const mig_network& net, node_index n) {
   if (net.is_pi(n)) {
     return "\\" + net.pi_name(net.pi_position(n)) + " ";
   }
-  return "n" + std::to_string(n);
+  return std::string{"n"}.append(std::to_string(n));
 }
 
 std::string v_operand(const mig_network& net, signal s) {
   if (net.is_constant(s.index())) {
     return s.is_complemented() ? "1'b1" : "1'b0";
   }
-  return (s.is_complemented() ? "~" : "") + v_name(net, s.index());
+  return std::string{s.is_complemented() ? "~" : ""}.append(v_name(net, s.index()));
 }
 
 }  // namespace

@@ -9,13 +9,6 @@ level_map compute_levels(const mig_network& net) {
   return level_map{{levels.begin(), levels.end()}, net.depth()};
 }
 
-std::uint32_t max_exclusive_base_distance(const mig_network& net, const level_map& levels,
-                                          node_index n) {
-  (void)net;
-  const std::uint32_t own = levels.level[n];
-  return own == 0 ? 0 : own - 1;
-}
-
 namespace {
 
 /// Visits every routed consumer connection in fan-out map order: gate

@@ -163,10 +163,6 @@ signal mig_network::create_xor(signal a, signal b) {
   return create_and(any, !both);
 }
 
-signal mig_network::create_xor3(signal a, signal b, signal c) {
-  return create_full_adder(a, b, c).first;
-}
-
 signal mig_network::create_mux(signal sel, signal t, signal e) {
   if (t == e) {
     return t;

@@ -79,12 +79,10 @@ TEST(buffer_insertion, chain_shares_buffers_between_fanouts) {
 
   buffer_insertion_options chain_opts;
   chain_opts.strategy = buffer_strategy::chain;
-  chain_opts.pad_outputs = false;
   const auto chained = insert_buffers(net, chain_opts);
 
   buffer_insertion_options naive_opts;
   naive_opts.strategy = buffer_strategy::naive;
-  naive_opts.pad_outputs = false;
   const auto naive = insert_buffers(net, naive_opts);
 
   EXPECT_LT(chained.buffers_added, naive.buffers_added);
@@ -223,22 +221,6 @@ TEST(buffer_insertion, constant_driven_outputs_are_exempt) {
   const auto result = insert_buffers(net);
   EXPECT_TRUE(check_wave_readiness(result.net).ready);
   EXPECT_EQ(result.net.po_signal(1), constant1);
-}
-
-TEST(buffer_insertion, no_padding_mode_keeps_outputs_unaligned) {
-  mig_network net;
-  const signal a = net.create_pi();
-  const signal b = net.create_pi();
-  const signal c = net.create_pi();
-  const signal g1 = net.create_maj(a, b, c);
-  net.create_po(g1, "shallow");
-  net.create_po(net.create_maj(g1, a, b), "deep");
-  buffer_insertion_options opts;
-  opts.pad_outputs = false;
-  const auto result = insert_buffers(net, opts);
-  const auto readiness = check_wave_readiness(result.net);
-  EXPECT_EQ(readiness.violating_edges, 0u);
-  EXPECT_FALSE(readiness.outputs_aligned);
 }
 
 TEST(buffer_insertion, validates_options) {

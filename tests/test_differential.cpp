@@ -539,11 +539,24 @@ TEST(served_program, scenario_programs_match_wave_pipeline) {
   }
 }
 
-TEST(served_program, constant_fed_components_keep_the_built_clock) {
+/// The balanced netlist a scenario session's miss plans, built: the flow's
+/// restriction and loss budget, then balancing as wave_pipeline does.
+buffer_insertion_result balance_for_scenario(const mig_network& net,
+                                             const tech_scenario& scenario,
+                                             schedule_policy schedule) {
+  pipeline_options prep;
+  prep.scenario = scenario;
+  prep.schedule = schedule;
+  pipeline_result staged;
+  return insert_buffers(prepare_for_balancing(net, prep, staged), balance_options(prep));
+}
+
+TEST(served_program, constant_fed_components_take_the_plan_clock) {
   // A buffer fed only by a constant (`read_mig` accepts `BUF(0)`) sits at
-  // level 1 under the ASAP levels a scenario program is clocked by, while
-  // alap and mid_slack schedule it higher, next to its deep consumer: there
-  // the plan's schedule is not the built program's clock.
+  // level 1 under ASAP levels, while alap and mid_slack schedule it higher,
+  // next to its deep consumer. A scenario program is clocked by the plan's
+  // schedule all the same, as an untagged one is: it equals the balanced
+  // netlist compiled under `b.schedule`, where every edge spans one level.
   mig_network net;
   const signal a = net.create_pi();
   const signal b = net.create_pi();
@@ -562,16 +575,50 @@ TEST(served_program, constant_fed_components_keep_the_built_clock) {
     const std::string what = "schedule " + std::to_string(static_cast<int>(schedule));
     engine::batch_session session{executor, {.schedule = schedule}};
     const auto served = session.compile(net, 3, &scenario);
-    pipeline_options prep;
-    prep.scenario = scenario;
-    prep.schedule = schedule;
-    const auto balanced = wave_pipeline(net, prep).net;
+    const auto balanced = balance_for_scenario(net, scenario, schedule);
     const engine::compiled_netlist built{
-        balanced, {.scenario_fingerprint = scenario.fingerprint(), .fdm_lanes = 1}};
-    EXPECT_EQ(built.max_edge_span() > 1, schedule != schedule_policy::asap) << what;
+        balanced.net, balanced.schedule,
+        {.scenario_fingerprint = scenario.fingerprint(), .fdm_lanes = 1}};
+    EXPECT_EQ(built.min_edge_span(), 1u) << what;
+    EXPECT_EQ(built.max_edge_span(), 1u) << what;
     expect_same_program(*served, built, what);
-    const engine::tick_program oracle{balanced, compute_levels(balanced)};
-    expect_same_run(*served, built, &oracle, waves, std::max(3u, built.max_edge_span()), what);
+    const engine::tick_program oracle{balanced.net, balanced.schedule};
+    expect_same_run(*served, built, &oracle, waves, 3, what);
+  }
+}
+
+TEST(served_program, constant_fed_scenario_requests_are_served_at_three_phases) {
+  // Three PIs, a chain of seven majority gates, and a buffer of constant 0
+  // feeding the last one. Under the ASAP levels of the balanced netlist the
+  // program's edges span up to 7 levels under alap (4 under mid_slack),
+  // which 3 phases cannot fire; under the plan's schedule they span one.
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  signal g = net.create_maj(a, b, c);
+  for (int i = 1; i < 6; ++i) {
+    g = net.create_maj(g, i % 2 == 0 ? a : b, i % 3 == 0 ? c : !c);
+  }
+  net.create_po(net.create_maj(g, net.create_buffer(constant0), a));
+  ASSERT_EQ(net.num_majorities(), 7u);
+  const auto waves = random_waves(65, net.num_pis(), 0xC0F);
+  const auto batch = engine::wave_batch::from_waves(waves, net.num_pis());
+  const auto scenario = tech_scenario::swd();
+
+  engine::parallel_executor executor{1};
+  for (const auto schedule : {schedule_policy::alap, schedule_policy::mid_slack}) {
+    const std::string what = "schedule " + std::to_string(static_cast<int>(schedule));
+    engine::batch_session session{executor, {.schedule = schedule}};
+    const auto served = session.run(net, batch, 3, &scenario);
+    const auto balanced = balance_for_scenario(net, scenario, schedule);
+    const engine::tick_program oracle{balanced.net, balanced.schedule};
+    const auto expected = engine::run_waves(oracle, waves, 3);
+    EXPECT_EQ(served.unpack(), expected.outputs) << what;
+    EXPECT_EQ(served.ticks, expected.ticks) << what;
+    const auto program = session.compile(net, 3, &scenario);
+    EXPECT_EQ(program->min_edge_span(), 1u) << what;
+    EXPECT_EQ(program->max_edge_span(), 1u) << what;
   }
 }
 

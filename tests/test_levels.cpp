@@ -81,20 +81,6 @@ TEST(levels, constant_only_output_keeps_depth_zero) {
   EXPECT_EQ(compute_levels(net).depth, 0u);
 }
 
-TEST(levels, max_exclusive_base_distance_is_one_below) {
-  mig_network net;
-  const signal a = net.create_pi();
-  const signal b = net.create_pi();
-  const signal c = net.create_pi();
-  const signal m1 = net.create_maj(a, b, c);
-  const signal m2 = net.create_maj(m1, a, b);
-  net.create_po(m2);
-  const auto levels = compute_levels(net);
-  EXPECT_EQ(max_exclusive_base_distance(net, levels, m2.index()), 1u);
-  EXPECT_EQ(max_exclusive_base_distance(net, levels, m1.index()), 0u);
-  EXPECT_EQ(max_exclusive_base_distance(net, levels, a.index()), 0u);
-}
-
 TEST(fanouts, edges_and_po_refs) {
   mig_network net;
   const signal a = net.create_pi();

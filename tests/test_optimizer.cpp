@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -50,6 +51,36 @@ void expect_same_function(const compiled_netlist& a, const compiled_netlist& b,
   }
 }
 
+/// Peak liveness of a program that writes one slot per op (opt level 1):
+/// the most gate values live at once, each counted from its op to its last
+/// reader. An op's last-use operands die before its target is born, as in
+/// the slot recycler of opt level 2. A value no op reads lives to the end;
+/// in the networks below only the output's is such.
+std::size_t peak_live_values(const compiled_netlist& program, std::size_t fixed) {
+  const auto& ops = program.comb_ops();
+  constexpr std::size_t never = ~std::size_t{0};
+  std::vector<std::size_t> last_use(program.comb_slot_count(), never);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (const engine::slot_ref ref : {ops[i].a, ops[i].b, ops[i].c}) {
+      last_use[ref >> 1] = i;
+    }
+  }
+  std::vector<std::uint8_t> dead(program.comb_slot_count(), 0);
+  std::size_t live = 0;
+  std::size_t peak = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (const engine::slot_ref ref : {ops[i].a, ops[i].b, ops[i].c}) {
+      const std::size_t slot = ref >> 1;
+      if (slot >= fixed && last_use[slot] == i && dead[slot] == 0) {
+        dead[slot] = 1;
+        --live;
+      }
+    }
+    peak = std::max(peak, ++live);
+  }
+  return peak;
+}
+
 TEST(optimizer, folds_duplicate_operand_majorities) {
   mig_network net;
   const signal a = net.create_pi();
@@ -62,7 +93,6 @@ TEST(optimizer, folds_duplicate_operand_majorities) {
   const auto opt = compiled_netlist::comb_only(net, {.opt_level = 1});
   EXPECT_EQ(raw.num_comb_ops(), 1u);
   EXPECT_EQ(opt.num_comb_ops(), 0u);
-  EXPECT_GE(opt.opt_stats().constants_folded, 1u);
   expect_same_function(raw, opt, net.num_pis(), 101);
 }
 
@@ -83,7 +113,6 @@ TEST(optimizer, folds_complement_pair_and_constant_majorities) {
   const auto opt = compiled_netlist::comb_only(net, {.opt_level = 1});
   EXPECT_EQ(raw.num_comb_ops(), 3u);
   EXPECT_EQ(opt.num_comb_ops(), 0u);
-  EXPECT_EQ(opt.opt_stats().constants_folded, 3u);
   expect_same_function(raw, opt, net.num_pis(), 202);
 }
 
@@ -102,7 +131,6 @@ TEST(optimizer, cse_merges_structurally_identical_gates) {
   const auto opt = compiled_netlist::comb_only(net, {.opt_level = 1});
   EXPECT_EQ(raw.num_comb_ops(), 2u);
   EXPECT_EQ(opt.num_comb_ops(), 1u);
-  EXPECT_EQ(opt.opt_stats().cse_hits, 1u);
   expect_same_function(raw, opt, net.num_pis(), 303);
 }
 
@@ -119,8 +147,8 @@ TEST(optimizer, cse_canonicalizes_under_self_duality) {
 
   const auto raw = compiled_netlist::comb_only(net);
   const auto opt = compiled_netlist::comb_only(net, {.opt_level = 1});
+  EXPECT_EQ(raw.num_comb_ops(), 2u);
   EXPECT_EQ(opt.num_comb_ops(), 1u);
-  EXPECT_EQ(opt.opt_stats().cse_hits, raw.num_comb_ops() - 1);
   expect_same_function(raw, opt, net.num_pis(), 404);
 }
 
@@ -139,7 +167,6 @@ TEST(optimizer, removes_cones_dead_from_the_outputs) {
   const auto opt = compiled_netlist::comb_only(net, {.opt_level = 1});
   EXPECT_EQ(raw.num_comb_ops(), 3u);
   EXPECT_EQ(opt.num_comb_ops(), 1u);
-  EXPECT_EQ(opt.opt_stats().dead_ops_removed, 2u);
   expect_same_function(raw, opt, net.num_pis(), 505);
 }
 
@@ -165,17 +192,16 @@ TEST(optimizer, slot_recycling_shrinks_scratch_to_peak_liveness) {
   EXPECT_EQ(raw.comb_slot_count(), fixed + chain);
   EXPECT_EQ(opt1.comb_slot_count(), fixed + chain);  // no recycling below level 2
   EXPECT_EQ(opt2.comb_slot_count(), fixed + 1);
-  EXPECT_EQ(opt2.opt_stats().peak_live_slots, 1u);
-  EXPECT_EQ(opt2.opt_stats().slots_before, fixed + chain);
-  EXPECT_EQ(opt2.opt_stats().slots_after, fixed + 1);
+  EXPECT_EQ(peak_live_values(opt1, fixed), 1u);
   EXPECT_EQ(opt2.num_comb_ops(), chain);  // recycling removes slots, not ops
   expect_same_function(raw, opt2, net.num_pis(), 606);
 }
 
 TEST(optimizer, peak_liveness_accounts_for_fan_out_lifetimes) {
   // Balanced binary reduction over 8 leaves: the widest live front is the
-  // leaf layer, and recycling cannot beat it. slots_after - fixed must
-  // equal peak_live_slots exactly (the accounting identity).
+  // leaf layer, and recycling cannot beat it. The gate slots at level 2
+  // must equal the peak liveness of the level-1 order exactly (the
+  // accounting identity).
   mig_network net;
   std::vector<signal> layer;
   const signal x = net.create_pi();
@@ -194,8 +220,9 @@ TEST(optimizer, peak_liveness_accounts_for_fan_out_lifetimes) {
   net.create_po(layer[0]);
 
   const std::size_t fixed = 1 + net.num_pis();
+  const auto opt1 = compiled_netlist::comb_only(net, {.opt_level = 1});
   const auto opt2 = compiled_netlist::comb_only(net, {.opt_level = 2});
-  EXPECT_EQ(opt2.comb_slot_count() - fixed, opt2.opt_stats().peak_live_slots);
+  EXPECT_EQ(opt2.comb_slot_count() - fixed, peak_live_values(opt1, fixed));
   EXPECT_LE(opt2.comb_slot_count(), compiled_netlist::comb_only(net).comb_slot_count());
   expect_same_function(compiled_netlist::comb_only(net), opt2, net.num_pis(), 707);
 }
@@ -303,7 +330,7 @@ TEST(optimizer, options_fingerprint_separates_every_knob) {
   EXPECT_EQ(fp({.opt_level = 2, .fdm_lanes = 4}), fp({.opt_level = 2, .fdm_lanes = 4}));
 }
 
-TEST(optimizer, session_stats_report_resident_op_and_slot_counts) {
+TEST(optimizer, session_programs_show_their_opt_level) {
   engine::parallel_executor executor{2};
   const auto net = gen::random_mig({10, 120, 0.5, 8, 42});
   engine::wave_batch batch{net.num_pis()};
@@ -315,19 +342,19 @@ TEST(optimizer, session_stats_report_resident_op_and_slot_counts) {
   const auto opt_run = opt_session.run(net, batch, 3);
   EXPECT_EQ(raw_run.words, opt_run.words);
 
-  const auto raw_stats = raw_session.stats();
-  const auto opt_stats = opt_session.stats();
-  ASSERT_EQ(raw_stats.entries, 1u);
-  ASSERT_EQ(opt_stats.entries, 1u);
-  EXPECT_GT(raw_stats.comb_ops, 0u);
-  EXPECT_GT(raw_stats.comb_slots, 0u);
-  EXPECT_LE(opt_stats.comb_ops, raw_stats.comb_ops);
-  EXPECT_LT(opt_stats.comb_slots, raw_stats.comb_slots);
+  ASSERT_EQ(raw_session.stats().entries, 1u);
+  ASSERT_EQ(opt_session.stats().entries, 1u);
 
-  // The compiled program exposes its own options and stats.
-  const auto program = opt_session.compile(net, 3);
-  EXPECT_EQ(program->options().opt_level, 2u);
-  EXPECT_EQ(program->opt_stats().slots_after, program->comb_slot_count());
+  // The cached programs (hits now) show what the optimizer did.
+  const auto raw = raw_session.compile(net, 3);
+  const auto opt = opt_session.compile(net, 3);
+  EXPECT_EQ(raw_session.stats().hits, 1u);
+  EXPECT_EQ(opt_session.stats().hits, 1u);
+  EXPECT_EQ(raw->options().opt_level, 0u);
+  EXPECT_EQ(opt->options().opt_level, 2u);
+  EXPECT_GT(raw->num_comb_ops(), 0u);
+  EXPECT_LE(opt->num_comb_ops(), raw->num_comb_ops());
+  EXPECT_LT(opt->comb_slot_count(), raw->comb_slot_count());
 }
 
 TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
@@ -352,10 +379,8 @@ TEST(optimizer, opt_levels_occupy_distinct_cache_entries) {
             opt.get());
   EXPECT_EQ(session.stats().entries, 2u);
 
-  // Same function either way; the session sums both resident programs.
+  // Same function either way, in fewer slots at level 2.
   expect_same_function(*raw, *opt, net.num_pis(), 909);
-  const auto stats = session.stats();
-  EXPECT_EQ(stats.comb_slots, raw->comb_slot_count() + opt->comb_slot_count());
   EXPECT_LT(opt->comb_slot_count(), raw->comb_slot_count());
 }
 

@@ -269,12 +269,6 @@ TEST(pipeline_scenario, lossy_scenario_inserts_repeaters_and_accounts_them) {
   EXPECT_TRUE(result.wave_ready);
   EXPECT_TRUE(functionally_equivalent(net, result.net));
   EXPECT_LE(worst_run(result.net), 10u);
-
-  // enforce_loss = false studies the raw flow: no repeaters, run reported 0.
-  opts.enforce_loss = false;
-  const auto raw = wave_pipeline(net, opts);
-  EXPECT_EQ(raw.repeater_buffers_added, 0u);
-  EXPECT_EQ(raw.max_attenuation_run, 0u);
 }
 
 // ---------------------------------------------------- metrics and timing ---
