@@ -305,9 +305,10 @@ int main(int argc, char** argv) {
   // --- kernel width x optimizer steady-state sweep --------------------------
   // The acceptance benchmark of the multi-word kernel + optimizer: on each
   // netlist, the single-word (W = 1) kernel — the engine's former hot path
-  // — against the plane-major multi-word kernel (AVX2-dispatched where
-  // built) at optimizer levels 0 and 2. Two shapes: the balanced adder
-  // (deep, few POs) and a large random MIG (wide, optimizer-friendly).
+  // — against the plane-major multi-word kernel (the instance picked for
+  // this CPU: AVX-512F, AVX2 or the baseline ISA) at optimizer levels 0
+  // and 2. Two shapes: the balanced adder (deep, few POs) and a large
+  // random MIG (wide, optimizer-friendly).
   const std::size_t kernel_waves = std::max<std::size_t>(num_waves, 8192);
   const auto kernel_batch = [&](const mig_network& circuit, std::uint64_t seed) {
     std::mt19937_64 batch_rng{seed};

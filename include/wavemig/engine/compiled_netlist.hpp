@@ -157,7 +157,8 @@ public:
   /// Word-blocks the multi-word kernel evaluates per pass: up to 8 chunks
   /// (512 waves) flow through the program together, so each op's three
   /// loads and one store amortize over 8 words — the software analogue of
-  /// widening the datapath.
+  /// widening the datapath. An 8-word slot is one 64-byte cache line, and
+  /// one AVX-512 register (two AVX2, four SSE2 or NEON registers).
   static constexpr std::size_t max_block_chunks = 8;
 
   /// The native multi-word entry: evaluates `num_chunks` consecutive
@@ -167,11 +168,13 @@ public:
   /// (the layout of `wave_batch::view()` / `packed_wave_result`). Each
   /// block's PI words load into the slot-major kernel blocks with unit
   /// stride (one contiguous W-word copy per PI) and PO words store the same
-  /// way — no strided gather or scatter anywhere. Uses unrolled portable
-  /// kernels for every width plus the runtime-dispatched AVX2 / NEON paths
-  /// when built in (WAVEMIG_ENABLE_AVX2 / WAVEMIG_ENABLE_NEON). `slots` is
-  /// reusable scratch; results are bit-identical to `eval_words_into` per
-  /// chunk (fed chunk c's word of every plane). Strides must be at least
+  /// way — no strided gather or scatter anywhere. The kernel is one source
+  /// instantiated per ISA: AVX-512F and AVX2 on x86-64 when built in
+  /// (WAVEMIG_ENABLE_AVX2), and the baseline ISA everywhere; the widest the
+  /// CPU supports is picked once per process. `slots` is reusable scratch,
+  /// whose slot blocks start on a 64-byte boundary wherever it is
+  /// allocated; results are bit-identical to `eval_words_into` per chunk
+  /// (fed chunk c's word of every plane). Strides must be at least
   /// `num_chunks`; a base may be null when its side has no planes (0 PIs or
   /// 0 POs). Every packed front-end reaches the kernel through this entry.
   void eval_planes_block(const std::uint64_t* pi_planes, std::size_t pi_stride,

@@ -113,7 +113,11 @@ struct pipeline_result {
   std::uint32_t max_attenuation_run{0};
   std::uint32_t depth_before{0};
   std::uint32_t depth_after{0};
-  /// check_wave_readiness(net).ready — true whenever buffers were inserted.
+  /// Whether `net` is wave-ready: under the balancer's schedule
+  /// (`check_wave_readiness(b.net, b.schedule, 0)` for the result `b` of
+  /// `insert_buffers`, so true whenever buffers were inserted, under every
+  /// schedule policy), or under the netlist's ASAP levels when
+  /// `insert_buffers` is off.
   bool wave_ready{false};
 };
 

@@ -63,15 +63,17 @@ pipeline_result wave_pipeline(const mig_network& net, const pipeline_options& op
   if (options.insert_buffers) {
     auto balanced = insert_buffers(*current, balance_options(options));
     result.balance_buffers_added = balanced.buffers_added;
+    // Readiness under the clock the netlist was balanced for: alap and
+    // mid_slack lift a constant-fed component above its ASAP level.
+    result.wave_ready = check_wave_readiness(balanced.net, balanced.schedule, 0).ready;
     result.net = std::move(balanced.net);
     current = &result.net;
+  } else {
+    result.wave_ready = check_wave_readiness(*current).ready;
   }
 
-  // The statistics and the readiness check read the final netlist's own
-  // ASAP levels, so readiness stays independent of the balancer's schedule.
   result.final_stats = compute_stats(*current);
   result.depth_after = result.final_stats.depth;
-  result.wave_ready = check_wave_readiness(*current).ready;
   if (current == &net) {
     result.net = net;
   }

@@ -1,8 +1,11 @@
 #include "wavemig/engine/compiled_netlist.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "packed_kernel.hpp"
 
@@ -17,65 +20,64 @@ namespace wavemig::engine {
 
 namespace {
 
-/// One pass of the majority program over a W-word slot block: the width
-/// dispatch of `eval_planes_block`. W = 4 and W = 8 go to the SIMD
-/// instances (AVX2 / NEON) when built in and supported at runtime; every
-/// width has a fully unrolled portable kernel.
-void run_ops_block(const compiled_netlist::maj_op* ops, std::size_t num_ops,
-                   std::uint64_t* slots, std::size_t w) {
-  switch (w) {
-    case 8:
-#if defined(WAVEMIG_HAVE_AVX2)
-      if (detail::avx2_supported()) {
-        detail::eval_ops_avx2_w8(ops, num_ops, slots);
-        break;
-      }
-#endif
-#if defined(WAVEMIG_HAVE_NEON)
-      if (detail::neon_supported()) {
-        detail::eval_ops_neon_w8(ops, num_ops, slots);
-        break;
-      }
-#endif
-      detail::eval_ops_portable<8>(ops, num_ops, slots);
-      break;
-    case 4:
-#if defined(WAVEMIG_HAVE_AVX2)
-      if (detail::avx2_supported()) {
-        detail::eval_ops_avx2_w4(ops, num_ops, slots);
-        break;
-      }
-#endif
-#if defined(WAVEMIG_HAVE_NEON)
-      if (detail::neon_supported()) {
-        detail::eval_ops_neon_w4(ops, num_ops, slots);
-        break;
-      }
-#endif
-      detail::eval_ops_portable<4>(ops, num_ops, slots);
-      break;
-    case 7:
-      detail::eval_ops_portable<7>(ops, num_ops, slots);
-      break;
-    case 6:
-      detail::eval_ops_portable<6>(ops, num_ops, slots);
-      break;
-    case 5:
-      detail::eval_ops_portable<5>(ops, num_ops, slots);
-      break;
-    case 3:
-      detail::eval_ops_portable<3>(ops, num_ops, slots);
-      break;
-    case 2:
-      detail::eval_ops_portable<2>(ops, num_ops, slots);
-      break;
-    default:
-      detail::eval_ops_portable<1>(ops, num_ops, slots);
-      break;
+/// The kernel at every width, under the caller's ISA.
+[[gnu::always_inline]] inline void eval_ops_any_width(const compiled_netlist::maj_op* ops,
+                                                      std::size_t num_ops, std::uint64_t* slots,
+                                                      std::size_t width) {
+  switch (width) {
+    case 8: return detail::eval_ops<8>(ops, num_ops, slots);
+    case 7: return detail::eval_ops<7>(ops, num_ops, slots);
+    case 6: return detail::eval_ops<6>(ops, num_ops, slots);
+    case 5: return detail::eval_ops<5>(ops, num_ops, slots);
+    case 4: return detail::eval_ops<4>(ops, num_ops, slots);
+    case 3: return detail::eval_ops<3>(ops, num_ops, slots);
+    case 2: return detail::eval_ops<2>(ops, num_ops, slots);
+    default: return detail::eval_ops<1>(ops, num_ops, slots);
   }
 }
 
+// The instances: explicit target attributes, picked once per process by
+// `supported_kernels`. Not `target_clones`: an ifunc-resolved variant of
+// the same kernel measured about 2.7% slower on every layer of wavebench's
+// `flow` workload, kernel or not (cause not established).
+#if defined(WAVEMIG_HAVE_X86_KERNELS)
+[[gnu::target("avx512f")]] void eval_ops_avx512f(const compiled_netlist::maj_op* ops,
+                                                 std::size_t num_ops, std::uint64_t* slots,
+                                                 std::size_t width) {
+  eval_ops_any_width(ops, num_ops, slots, width);
+}
+
+[[gnu::target("avx2")]] void eval_ops_avx2(const compiled_netlist::maj_op* ops,
+                                           std::size_t num_ops, std::uint64_t* slots,
+                                           std::size_t width) {
+  eval_ops_any_width(ops, num_ops, slots, width);
+}
+#endif
+
+void eval_ops_baseline(const compiled_netlist::maj_op* ops, std::size_t num_ops,
+                       std::uint64_t* slots, std::size_t width) {
+  eval_ops_any_width(ops, num_ops, slots, width);
+}
+
 }  // namespace
+
+std::span<const detail::kernel_instance> detail::supported_kernels() {
+  static const auto supported = [] {
+    std::array<kernel_instance, 3> list{};
+    std::size_t n = 0;
+#if defined(WAVEMIG_HAVE_X86_KERNELS)
+    if (__builtin_cpu_supports("avx512f") != 0) {
+      list[n++] = {"avx512f", eval_ops_avx512f};
+    }
+    if (__builtin_cpu_supports("avx2") != 0) {
+      list[n++] = {"avx2", eval_ops_avx2};
+    }
+#endif
+    list[n++] = {"baseline", eval_ops_baseline};
+    return std::pair{list, n};
+  }();
+  return std::span{supported.first}.first(supported.second);
+}
 
 compiled_netlist::compiled_netlist(const mig_network& net, compile_options options) {
   options_ = options;
@@ -208,7 +210,7 @@ void compiled_netlist::eval_words_into(const std::uint64_t* pi_words, std::uint6
   slots.resize(comb_slot_count_);
   slots[0] = 0;
   std::copy(pi_words, pi_words + num_pis_, slots.begin() + 1);
-  detail::eval_ops_portable<1>(comb_ops_.data(), comb_ops_.size(), slots.data());
+  detail::eval_ops<1>(comb_ops_.data(), comb_ops_.size(), slots.data());
   for (std::size_t p = 0; p < num_pos_; ++p) {
     const slot_ref ref = comb_po_refs_[p];
     po_words[p] = slots[ref >> 1] ^ complement_mask(ref);
@@ -219,12 +221,20 @@ void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::si
                                          std::uint64_t* po_planes, std::size_t po_stride,
                                          std::size_t num_chunks,
                                          std::vector<std::uint64_t>& slots) const {
+  static const auto run_kernel = detail::supported_kernels().front().eval;
+
+  // Slot-major W-word blocks: slot k occupies s[k*w .. k*w + w). The blocks
+  // start on a 64-byte boundary wherever the allocator put the scratch (7
+  // spare words cover any 8-byte-aligned base), so no 8-word slot straddles
+  // a cache line.
+  constexpr std::size_t line_words = 64 / sizeof(std::uint64_t);
+  slots.resize(comb_slot_count_ * std::min(max_block_chunks, num_chunks) + line_words - 1);
+  const std::size_t pad =
+      (0 - reinterpret_cast<std::uintptr_t>(slots.data()) / sizeof(std::uint64_t)) % line_words;
+  std::uint64_t* s = slots.data() + pad;
+
   for (std::size_t done = 0; done < num_chunks;) {
     const std::size_t w = std::min(max_block_chunks, num_chunks - done);
-
-    // Slot-major W-word blocks: slot s occupies slots[s*w .. s*w + w).
-    slots.resize(static_cast<std::size_t>(comb_slot_count_) * w);
-    std::uint64_t* s = slots.data();
     std::fill(s, s + w, 0);  // constant slot
     const bool more = done + w < num_chunks;
     for (std::size_t i = 0; i < num_pis_; ++i) {
@@ -245,7 +255,7 @@ void compiled_netlist::eval_planes_block(const std::uint64_t* pi_planes, std::si
       }
     }
 
-    run_ops_block(comb_ops_.data(), comb_ops_.size(), s, w);
+    run_kernel(comb_ops_.data(), comb_ops_.size(), s, w);
 
     for (std::size_t p = 0; p < num_pos_; ++p) {
       const slot_ref ref = comb_po_refs_[p];

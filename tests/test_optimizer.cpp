@@ -201,19 +201,23 @@ TEST(optimizer, peak_liveness_accounts_for_fan_out_lifetimes) {
   // Balanced binary reduction over 8 leaves: the widest live front is the
   // leaf layer, and recycling cannot beat it. The gate slots at level 2
   // must equal the peak liveness of the level-1 order exactly (the
-  // accounting identity).
+  // accounting identity). Each leaf reads three distinct PIs, two through
+  // buffers, so no leaf or reduction gate folds: the programs keep all 15
+  // ops and the identity is not 0 == 0.
   mig_network net;
+  std::vector<signal> pis;
+  for (int i = 0; i < 10; ++i) {
+    pis.push_back(net.create_pi());
+  }
   std::vector<signal> layer;
-  const signal x = net.create_pi();
-  const signal y = net.create_pi();
-  for (int i = 0; i < 8; ++i) {
-    layer.push_back(net.create_maj(net.create_buffer(x), net.create_buffer(y),
-                                   i % 2 == 0 ? x : !y));
+  for (std::size_t i = 0; i < 8; ++i) {
+    layer.push_back(
+        net.create_maj(net.create_buffer(pis[i]), net.create_buffer(pis[i + 1]), pis[i + 2]));
   }
   while (layer.size() > 1) {
     std::vector<signal> next;
     for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-      next.push_back(net.create_maj(layer[i], layer[i + 1], x));
+      next.push_back(net.create_maj(layer[i], layer[i + 1], pis[0]));
     }
     layer = std::move(next);
   }
@@ -222,6 +226,9 @@ TEST(optimizer, peak_liveness_accounts_for_fan_out_lifetimes) {
   const std::size_t fixed = 1 + net.num_pis();
   const auto opt1 = compiled_netlist::comb_only(net, {.opt_level = 1});
   const auto opt2 = compiled_netlist::comb_only(net, {.opt_level = 2});
+  ASSERT_EQ(opt1.num_comb_ops(), 15u);
+  ASSERT_GT(opt2.num_comb_ops(), 0u);
+  EXPECT_EQ(peak_live_values(opt1, fixed), 8u);  // the leaf layer
   EXPECT_EQ(opt2.comb_slot_count() - fixed, peak_live_values(opt1, fixed));
   EXPECT_LE(opt2.comb_slot_count(), compiled_netlist::comb_only(net).comb_slot_count());
   expect_same_function(compiled_netlist::comb_only(net), opt2, net.num_pis(), 707);

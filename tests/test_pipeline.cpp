@@ -49,6 +49,40 @@ TEST(pipeline, restriction_only_flow) {
   EXPECT_TRUE(functionally_equivalent(net, result.net));
 }
 
+TEST(pipeline, wave_ready_reads_the_balanced_schedule) {
+  // Three PIs, a chain of seven majority gates, and a buffer of constant 0
+  // feeding the last one. alap and mid_slack clock that buffer next to its
+  // deep consumer, above its ASAP level 1, so the balanced netlist's own
+  // ASAP levels fail the readiness check there. The flag reads the schedule
+  // the netlist was balanced for, under which it is ready at every policy.
+  mig_network net;
+  const signal a = net.create_pi();
+  const signal b = net.create_pi();
+  const signal c = net.create_pi();
+  signal g = net.create_maj(a, b, c);
+  for (int i = 1; i < 6; ++i) {
+    g = net.create_maj(g, i % 2 == 0 ? a : b, i % 3 == 0 ? c : !c);
+  }
+  net.create_po(net.create_maj(g, net.create_buffer(constant0), a));
+  ASSERT_EQ(net.num_majorities(), 7u);
+
+  for (const auto schedule :
+       {schedule_policy::asap, schedule_policy::alap, schedule_policy::mid_slack}) {
+    const std::string what = "schedule " + std::to_string(static_cast<int>(schedule));
+    pipeline_options opts;
+    opts.schedule = schedule;
+    const auto result = wave_pipeline(net, opts);
+    EXPECT_TRUE(result.wave_ready) << what;
+    pipeline_result staged;
+    const auto balanced =
+        insert_buffers(prepare_for_balancing(net, opts, staged), balance_options(opts));
+    EXPECT_TRUE(check_wave_readiness(balanced.net, balanced.schedule, 0).ready) << what;
+    EXPECT_EQ(check_wave_readiness(result.net).ready, schedule == schedule_policy::asap)
+        << what;
+    EXPECT_TRUE(functionally_equivalent(net, result.net)) << what;
+  }
+}
+
 TEST(pipeline, respecting_limit_bounds_every_degree) {
   const auto net = gen::multiplier_circuit(5);
   for (unsigned k : {2u, 3u, 4u}) {
