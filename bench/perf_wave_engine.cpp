@@ -12,6 +12,9 @@
 //   engine parallel — run_waves_parallel: the packed chunks sharded across
 //                 a persistent worker pool (thread-scaling sweep at 1, 2, 4
 //                 and hardware-concurrency threads).
+//   transposes — the 64 x 64 bit transpose of every kernel instance the
+//                 CPU supports, checked against the scalar one and timed
+//                 per tile (the bool boundary's from_waves and unpack).
 //   serving async — serving_session: the async submission front-end
 //                 (futures over a multi-producer queue, compiled-netlist
 //                 cache), measured at steady state over the same 16-batch
@@ -23,6 +26,7 @@
 //   $ ./bench/perf_wave_engine [--json] [num_waves]
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -35,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "../src/engine/packed_kernel.hpp"
 #include "bench_util.hpp"
 #include "wavemig/buffer_insertion.hpp"
 #include "wavemig/engine/compiled_netlist.hpp"
@@ -340,6 +345,49 @@ int main(int argc, char** argv) {
     k.sweep = kernel_sweep(k.net, k.schedule, kernel_batch(k.net, 4242));
     best_kernel_speedup =
         std::max(best_kernel_speedup, k.sweep.plane_opt2_wps / k.sweep.w1_wps);
+  }
+
+  // --- bool boundary transposes -----------------------------------------
+  // Every kernel instance the CPU supports carries a 64 x 64 bit transpose;
+  // wave_batch::from_waves and packed_wave_result::unpack run the first.
+  // Each must equal the scalar transpose64 on random tiles (exit 2
+  // otherwise); its time per tile is the best of three windows.
+  struct transpose_row {
+    const char* isa;
+    double ns_per_tile;
+  };
+  std::vector<transpose_row> transpose_rows;
+  {
+    std::mt19937_64 tile_rng{64};
+    std::vector<std::array<std::uint64_t, 64>> tiles(64);
+    for (auto& tile : tiles) {
+      for (auto& row : tile) {
+        row = tile_rng();
+      }
+    }
+    constexpr int tiles_per_window = 100000;
+    for (const auto& instance : engine::detail::supported_kernels()) {
+      for (auto tile : tiles) {
+        auto expected = tile;
+        engine::detail::transpose64(expected.data());
+        instance.transpose(tile.data());
+        if (tile != expected) {
+          std::fprintf(stderr, "FATAL: the %s transpose disagrees with transpose64\n",
+                       instance.isa);
+          return 2;
+        }
+      }
+      alignas(64) std::array<std::uint64_t, 64> tile = tiles[0];
+      double best_s = 1e30;
+      for (int window = 0; window < 3; ++window) {
+        const auto start = std::chrono::steady_clock::now();
+        for (int i = 0; i < tiles_per_window; ++i) {
+          instance.transpose(tile.data());
+        }
+        best_s = std::min(best_s, seconds_since(start));
+      }
+      transpose_rows.push_back({instance.isa, best_s * 1e9 / tiles_per_window});
+    }
   }
 
   // --- parallel sharded execution (thread-scaling sweep) --------------------
@@ -765,6 +813,10 @@ int main(int argc, char** argv) {
     }
     bench::json_record("perf_wave_engine", "kernel_best_speedup_vs_w1",
                        best_kernel_speedup);
+    for (const auto& row : transpose_rows) {
+      bench::json_record("perf_wave_engine",
+                         std::string{"transpose_"} + row.isa + "_ns_per_tile", row.ns_per_tile);
+    }
     for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       bench::json_record("perf_wave_engine",
                          "engine_parallel_waves_per_s_t" + std::to_string(thread_counts[i]),
@@ -845,6 +897,13 @@ int main(int argc, char** argv) {
                   bench::fmt(k.sweep.w1_wps).c_str(), bench::fmt(k.sweep.plane_wps).c_str(),
                   bench::fmt(k.sweep.plane_opt2_wps).c_str(),
                   bench::fmt(k.sweep.plane_opt2_wps / k.sweep.w1_wps).c_str(), ops, slots);
+    }
+
+    std::printf("\n64 x 64 bit transpose per kernel instance (first = from_waves/unpack)\n");
+    std::printf("%-22s %14s\n", "instance", "ns per tile");
+    bench::print_rule('-', 37);
+    for (const auto& row : transpose_rows) {
+      std::printf("%-22s %14s\n", row.isa, bench::fmt(row.ns_per_tile, 1).c_str());
     }
 
     std::printf("\nparallel thread-scaling sweep — %zu runs x %zu waves (%zu chunks) per "

@@ -43,7 +43,13 @@ constexpr std::uint64_t complement_mask(slot_ref ref) {
 class compiled_netlist {
 public:
   /// Majority operation of the combinational program. Fan-ins are
-  /// `slot_ref`s into the combinational slot array.
+  /// `slot_ref`s into the combinational slot array. Invariant of every
+  /// compiled program, at every opt level and from every constructor: at
+  /// most one operand is complemented, and it is `a` (`b` and `c` are
+  /// plain). Lowering and the optimizer apply self-duality,
+  /// M(!a,!b,!c) = !M(a,b,c), to ops with two or three complemented
+  /// operands and carry the flip on the output reference, so the packed
+  /// kernel XORs one complement mask per op.
   struct maj_op {
     std::uint32_t target;
     slot_ref a, b, c;

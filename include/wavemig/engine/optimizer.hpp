@@ -14,7 +14,8 @@ namespace wavemig::engine {
 /// throughput trade-off:
 ///
 /// * `0` — raw lowering, exactly the ops the network dictates (one majority
-///   op per majority node, buffers folded by reference forwarding).
+///   op per majority node, buffers folded by reference forwarding, each op
+///   in the one-complement form of `compiled_netlist::maj_op`).
 /// * `1` — constant propagation through majority gates (M(x,x,y)=x,
 ///   M(x,!x,y)=y, and their constant instances), structural hashing /
 ///   common-subexpression elimination under majority self-duality

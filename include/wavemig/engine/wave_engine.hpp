@@ -51,7 +51,9 @@ public:
 
   [[nodiscard]] std::size_t num_pis() const { return num_pis_; }
   [[nodiscard]] std::size_t num_waves() const { return num_waves_; }
-  [[nodiscard]] std::size_t num_chunks() const { return (num_waves_ + 63) / 64; }
+  [[nodiscard]] std::size_t num_chunks() const {
+    return num_waves_ / 64 + (num_waves_ % 64 != 0 ? 1 : 0);  // no wrap near SIZE_MAX
+  }
   [[nodiscard]] bool empty() const { return num_waves_ == 0; }
 
   /// Appends one wave (one bool per PI). Throws std::invalid_argument on a
@@ -137,7 +139,9 @@ struct packed_wave_result {
   std::uint32_t initiation_interval{0};
   std::uint32_t waves_in_flight{0};
 
-  [[nodiscard]] std::size_t num_chunks() const { return (num_waves + 63) / 64; }
+  [[nodiscard]] std::size_t num_chunks() const {
+    return num_waves / 64 + (num_waves % 64 != 0 ? 1 : 0);  // no wrap near SIZE_MAX
+  }
 
   [[nodiscard]] bool output(std::size_t wave, std::size_t po) const {
     const std::uint64_t word = words[po * num_chunks() + wave / 64];

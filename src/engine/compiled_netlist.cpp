@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -47,6 +48,10 @@ namespace {
   eval_ops_any_width(ops, num_ops, slots, width);
 }
 
+[[gnu::target("avx512f")]] void transpose_avx512f(std::uint64_t* tile) {
+  detail::transpose64_rows8(tile);
+}
+
 [[gnu::target("avx2")]] void eval_ops_avx2(const compiled_netlist::maj_op* ops,
                                            std::size_t num_ops, std::uint64_t* slots,
                                            std::size_t width) {
@@ -67,13 +72,15 @@ std::span<const detail::kernel_instance> detail::supported_kernels() {
     std::size_t n = 0;
 #if defined(WAVEMIG_HAVE_X86_KERNELS)
     if (__builtin_cpu_supports("avx512f") != 0) {
-      list[n++] = {"avx512f", eval_ops_avx512f};
+      list[n++] = {"avx512f", eval_ops_avx512f, transpose_avx512f};
     }
     if (__builtin_cpu_supports("avx2") != 0) {
-      list[n++] = {"avx2", eval_ops_avx2};
+      // Split into two ymm registers per vector, transpose64_rows8 spills
+      // and runs slower than the scalar transpose.
+      list[n++] = {"avx2", eval_ops_avx2, detail::transpose64};
     }
 #endif
-    list[n++] = {"baseline", eval_ops_baseline};
+    list[n++] = {"baseline", eval_ops_baseline, detail::transpose64};
     return std::pair{list, n};
   }();
   return std::span{supported.first}.first(supported.second);
@@ -163,8 +170,14 @@ void compiled_netlist::lower(const mig_network& net, std::span<const std::uint32
       case node_kind::majority: {
         const auto fis = net.fanins(n);
         const std::uint32_t slot = comb_slot_count_++;
-        comb_ops_.push_back({slot, resolve(fis[0]), resolve(fis[1]), resolve(fis[2])});
-        comb_ref[n] = slot << 1u;
+        slot_ref a = resolve(fis[0]);
+        slot_ref b = resolve(fis[1]);
+        slot_ref c = resolve(fis[2]);
+        // The kernel's one-mask form; a flip rides on the output reference.
+        const slot_ref out_complement = detail::flip_to_one_complement(a, b, c);
+        detail::complemented_first(a, b, c);
+        comb_ops_.push_back({slot, a, b, c});
+        comb_ref[n] = (slot << 1u) | out_complement;
         note_edge(n, fis[0]);
         note_edge(n, fis[1]);
         note_edge(n, fis[2]);
@@ -197,6 +210,7 @@ void compiled_netlist::lower(const mig_network& net, std::span<const std::uint32
     po_levels_[p] = schedule.empty() ? 0 : schedule[driver.index()];
     po_constant_[p] = net.is_constant(driver.index());
   }
+  assert(detail::one_complement_each(comb_ops_));
 }
 
 std::size_t compiled_netlist::memory_bytes() const {

@@ -1,8 +1,10 @@
 #include <array>
+#include <cassert>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "packed_kernel.hpp"
 #include "wavemig/engine/compiled_netlist.hpp"
 
 // Post-lowering optimizer over the combinational program (see
@@ -89,20 +91,16 @@ void compiled_netlist::optimize() {
 
     // Canonical polarity under self-duality: M(!a,!b,!c) = !M(a,b,c) — at
     // most one complemented operand, the flip carried on the output edge.
-    slot_ref out_complement = 0;
-    if ((a & 1u) + (b & 1u) + (c & 1u) >= 2) {
-      a ^= 1u;
-      b ^= 1u;
-      c ^= 1u;
-      out_complement = 1u;
-      sort3(a, b, c);
-    }
-
+    // The three slots are distinct once nothing folds, so the key stays
+    // sorted; the kept op puts its complemented operand first, the form
+    // the kernel reads.
+    const slot_ref out_complement = detail::flip_to_one_complement(a, b, c);
     const std::array<slot_ref, 3> key{a, b, c};
     if (const auto it = structural.find(key); it != structural.end()) {
       fwd[o.target] = it->second ^ out_complement;
       continue;
     }
+    detail::complemented_first(a, b, c);
     kept.push_back({o.target, a, b, c});
     structural.emplace(key, o.target << 1u);
     fwd[o.target] = (o.target << 1u) ^ out_complement;
@@ -198,6 +196,7 @@ void compiled_netlist::optimize() {
 
   comb_ops_ = std::move(kept);
   comb_ops_.shrink_to_fit();
+  assert(detail::one_complement_each(comb_ops_));
 }
 
 }  // namespace wavemig::engine

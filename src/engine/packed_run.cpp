@@ -21,8 +21,8 @@ std::size_t shard_block_chunks(std::size_t num_chunks, std::size_t num_workers) 
 
 }  // namespace
 
-void validate_run(const compiled_netlist& net, std::size_t batch_pis, unsigned phases,
-                  const char* who) {
+void validate_run(const compiled_netlist& net, std::size_t batch_pis, std::size_t num_waves,
+                  unsigned phases, const char* who) {
   if (phases == 0) {
     throw std::invalid_argument{std::string{who} + ": at least one clock phase required"};
   }
@@ -37,6 +37,12 @@ void validate_run(const compiled_netlist& net, std::size_t batch_pis, unsigned p
         std::to_string(net.max_edge_span()) +
         " must lie in [1, phases]); balance it with insert_buffers or use the "
         "cycle-accurate run_waves"};
+  }
+  const std::size_t chunks = num_waves / 64 + (num_waves % 64 != 0 ? 1 : 0);
+  if (net.num_pos() != 0 && chunks > std::vector<std::uint64_t>{}.max_size() / net.num_pos()) {
+    throw std::invalid_argument{std::string{who} + ": " + std::to_string(num_waves) +
+                                " waves of " + std::to_string(net.num_pos()) +
+                                " outputs exceed the largest result"};
   }
 }
 

@@ -56,10 +56,12 @@ void fill_clock_metrics(Result& result, const Program& program, unsigned fdm_lan
 }
 
 /// Step 1. Throws std::invalid_argument unless `phases >= 1`, `batch_pis`
-/// matches the netlist, and the netlist is wave-coherent under `phases`.
-/// `who` prefixes the diagnostic.
-void validate_run(const compiled_netlist& net, std::size_t batch_pis, unsigned phases,
-                  const char* who);
+/// matches the netlist, the netlist is wave-coherent under `phases`, and
+/// the words of a `num_waves`-wave result fit in a vector (a 0-PI batch
+/// declares any wave count without carrying a word, and the product of
+/// chunks and POs must not wrap). `who` prefixes the diagnostic.
+void validate_run(const compiled_netlist& net, std::size_t batch_pis, std::size_t num_waves,
+                  unsigned phases, const char* who);
 
 /// One member of a run: `num_chunks` chunks of input planes (PI i's words
 /// at `pis + i * pi_stride`) evaluated into as many chunks of output planes

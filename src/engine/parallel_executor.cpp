@@ -207,7 +207,7 @@ void parallel_executor::submit_group(std::size_t num_tasks,
 
 packed_wave_result run_waves_parallel(const compiled_netlist& net, const wave_batch& waves,
                                       unsigned phases, parallel_executor& executor) {
-  detail::validate_run(net, waves.num_pis(), phases, "run_waves_parallel");
+  detail::validate_run(net, waves.num_pis(), waves.num_waves(), phases, "run_waves_parallel");
   auto result = detail::make_result(net, waves.num_waves());
   // The wait state is owned by the callback, not by this frame: the worker
   // that completes the group may still be inside set_value() when get()

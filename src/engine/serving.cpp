@@ -349,7 +349,8 @@ void serving_session::process_gulp(std::vector<request> gulp) {
       // the same way.
       auto program = session_.compile(*req.net, req.phases, req.opts.scenario.get(),
                                       req.opts.compile, fingerprint_of(req.net));
-      detail::validate_run(*program, req.waves.num_pis(), req.phases, "serving_session");
+      detail::validate_run(*program, req.waves.num_pis(), req.waves.num_waves(), req.phases,
+                           "serving_session");
       const std::size_t chunks = req.waves.num_chunks();
       ready.push_back({std::move(req), std::move(program), chunks});
     } catch (const deadline_expired_error&) {

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "packed_kernel.hpp"
 #include "packed_run.hpp"
 
 namespace wavemig::engine {
@@ -43,24 +44,6 @@ void store_bits(std::vector<bool>& v, std::size_t word, std::size_t width, std::
   }
 }
 #endif
-
-/// In-place LSB-first transpose of a 64 x 64 bit matrix (row r = a[r], column
-/// c = bit c): afterwards bit c of a[r] is the former bit r of a[c]. Six
-/// rounds of masked block swaps; in round j, for every row r with bit j
-/// clear, the columns with bit j set in row r trade places with the
-/// columns with bit j clear in row r + j.
-void transpose64(std::uint64_t* a) {
-  std::uint64_t mask = 0x00000000FFFFFFFFull;
-  for (unsigned j = 32; j != 0; j >>= 1, mask ^= mask << j) {
-    for (unsigned r0 = 0; r0 < 64; r0 += 2 * j) {
-      for (unsigned r = r0; r < r0 + j; ++r) {
-        const std::uint64_t t = ((a[r] >> j) ^ a[r + j]) & mask;
-        a[r] ^= t << j;
-        a[r + j] ^= t;
-      }
-    }
-  }
-}
 
 }  // namespace
 
@@ -161,7 +144,8 @@ wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
   // tail bits of every plane's last chunk come out zero.
   const std::size_t chunks = (waves.size() + 63) / 64;
   std::vector<std::uint64_t> words(num_pis * chunks);
-  std::uint64_t tile[64];
+  const auto transpose = detail::supported_kernels().front().transpose;
+  alignas(64) std::uint64_t tile[64];
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lanes = std::min<std::size_t>(64, waves.size() - c * 64);
     for (std::size_t b = 0; b * 64 < num_pis; ++b) {
@@ -169,7 +153,7 @@ wave_batch wave_batch::from_waves(const std::vector<std::vector<bool>>& waves,
       for (std::size_t w = 0; w < 64; ++w) {
         tile[w] = w < lanes ? load_bits(waves[c * 64 + w], b, width) : 0;
       }
-      transpose64(tile);
+      transpose(tile);
       for (std::size_t i = 0; i < width; ++i) {
         words[(b * 64 + i) * chunks + c] = tile[i];
       }
@@ -187,7 +171,8 @@ std::vector<std::vector<bool>> packed_wave_result::unpack() const {
   std::vector<std::vector<bool>> out;
   out.reserve(num_waves);
   const std::size_t chunks = num_chunks();
-  std::uint64_t tile[64];
+  const auto transpose = detail::supported_kernels().front().transpose;
+  alignas(64) std::uint64_t tile[64];
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lanes = std::min<std::size_t>(64, num_waves - c * 64);
     for (std::size_t w = 0; w < lanes; ++w) {
@@ -198,7 +183,7 @@ std::vector<std::vector<bool>> packed_wave_result::unpack() const {
       for (std::size_t i = 0; i < 64; ++i) {
         tile[i] = i < width ? words[(b * 64 + i) * chunks + c] : 0;
       }
-      transpose64(tile);
+      transpose(tile);
       for (std::size_t w = 0; w < lanes; ++w) {
         store_bits(out[c * 64 + w], b, width, tile[w]);
       }
@@ -420,7 +405,7 @@ wave_run_result run_waves(const tick_program& program,
 
 packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batch& waves,
                                     unsigned phases) {
-  detail::validate_run(net, waves.num_pis(), phases, "run_waves_packed");
+  detail::validate_run(net, waves.num_pis(), waves.num_waves(), phases, "run_waves_packed");
   // The whole run is one inline member: the kernel steps through it in
   // max_block_chunks word-blocks with unit-stride PI/PO word I/O.
   auto result = detail::make_result(net, waves.num_waves());
@@ -432,7 +417,7 @@ packed_wave_result run_waves_packed(const compiled_netlist& net, const wave_batc
 
 wave_stream::wave_stream(const compiled_netlist& net, unsigned phases)
     : net_{net}, phases_{phases}, pending_{net.num_pis()} {
-  detail::validate_run(net, net.num_pis(), phases, "wave_stream");
+  detail::validate_run(net, net.num_pis(), 0, phases, "wave_stream");
   pending_.reserve(block_waves);
 }
 

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
+#include <stdexcept>
 #include <utility>
 
 #include "wavemig/buffer_insertion.hpp"
 #include "wavemig/engine/compiled_netlist.hpp"
+#include "wavemig/engine/parallel_executor.hpp"
+#include "wavemig/engine/serving.hpp"
 #include "wavemig/gen/arith.hpp"
 #include "wavemig/gen/misc.hpp"
 #include "wavemig/gen/random_mig.hpp"
@@ -591,6 +595,37 @@ TEST(wave_batch, from_plane_words_adopts_and_validates) {
                std::invalid_argument);
   EXPECT_THROW((void)engine::wave_batch::from_plane_words({}, num_pis, 70),
                std::invalid_argument);
+}
+
+TEST(wave_batch, a_zero_pi_batch_cannot_declare_a_result_too_large_to_count) {
+  // A 0-PI batch carries no words, so any wave count matches its empty
+  // buffer. 2^62 waves of a 256-output program need 2^64 result words: the
+  // count wraps to 0, and an unchecked run wrote through the empty result.
+  mig_network net;
+  for (int p = 0; p < 256; ++p) {
+    net.create_po(net.get_constant(p % 2 == 0));
+  }
+  const auto program = std::make_shared<const engine::compiled_netlist>(net);
+  const std::size_t huge = std::size_t{1} << 62;
+  const auto batch = engine::wave_batch::from_plane_words({}, 0, huge);
+  EXPECT_EQ(batch.num_chunks(), huge / 64);
+  EXPECT_EQ(engine::wave_batch::from_plane_words({}, 0, ~std::size_t{0}).num_chunks(),
+            ~std::size_t{0} / 64 + 1);  // no wrap at the top either
+
+  EXPECT_THROW((void)engine::run_waves_packed(*program, batch, 3), std::invalid_argument);
+  engine::parallel_executor executor{2};
+  EXPECT_THROW((void)engine::run_waves_parallel(*program, batch, 3, executor),
+               std::invalid_argument);
+  engine::serving_session serving{executor};
+  auto future = serving.submit_packed(std::make_shared<const mig_network>(net), {}, huge, 3);
+  EXPECT_THROW((void)future.get(), std::invalid_argument);
+
+  // The same program still runs a countable batch.
+  const auto small =
+      engine::run_waves_packed(*program, engine::wave_batch::from_plane_words({}, 0, 65), 3);
+  EXPECT_EQ(small.words.size(), 256u * 2);
+  EXPECT_TRUE(small.output(64, 0));
+  EXPECT_FALSE(small.output(64, 1));
 }
 
 TEST(packed_waves, result_tail_bits_above_num_waves_are_zero) {

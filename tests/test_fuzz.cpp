@@ -1,12 +1,21 @@
 // Randomized robustness tests: random netlists through random flow
-// configurations must uphold every invariant, and the readers must survive
-// arbitrary corruption of well-formed files (parse or throw — never crash).
+// configurations must uphold every invariant, the readers must survive
+// arbitrary corruption of well-formed files (parse or throw — never crash),
+// and plane words adopt only the shape they declare.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "wavemig/engine/wave_engine.hpp"
 #include "wavemig/gen/random_mig.hpp"
 #include "wavemig/gen/suite.hpp"
 #include "wavemig/io/blif.hpp"
@@ -177,6 +186,106 @@ TEST(io_fuzz, readers_accept_empty_input) {
   EXPECT_NO_THROW(io::read_blif(b));
   std::stringstream c{""};
   EXPECT_NO_THROW(io::read_verilog(c));
+}
+
+/// `wave_batch::from_plane_words` adopts plane words an untrusted client
+/// declared the shape of. Seeded trials over buffer sizes, PI counts and
+/// wave counts: chunk and word boundaries, values near SIZE_MAX, and PI x
+/// chunk products that wrap onto the buffer's size. Only
+/// std::invalid_argument may escape. A batch is accepted exactly when the
+/// buffer holds ceil(num_waves / 64) words per PI, and under `reject` only
+/// when no plane has a bit above num_waves; an accepted batch holds the
+/// buffer's words with every such bit cleared.
+TEST(shape_fuzz, plane_words_accept_exact_shapes_only) {
+  using engine::wave_batch;
+  constexpr std::size_t top = std::numeric_limits<std::size_t>::max();
+  constexpr std::size_t two32 = std::size_t{1} << 32;
+  const std::size_t edges[] = {0,         1,         63,           64,           65,
+                               127,       128,       129,          4096,         4097,
+                               two32,     two32 + 1, two32 * 64,   two32 * 64 - 63,
+                               top / 64,  top / 64 + 1, top / 2,   top / 2 + 1,  top - 64,
+                               top - 63,  top - 1,   top,          std::size_t{1} << 58,
+                               (std::size_t{1} << 63) + 1};
+  std::mt19937_64 rng{2027};
+  const auto pick = [&]() -> std::size_t {
+    return rng() % 2 == 0 ? rng() % 200 : edges[rng() % std::size(edges)];
+  };
+  constexpr std::size_t max_words = 4096;
+  std::size_t accepted = 0;
+  std::size_t wrapped = 0;
+  std::size_t stray_refused = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const std::size_t num_pis = pick();
+    const std::size_t num_waves = pick();
+    const std::size_t chunks = num_waves / 64 + (num_waves % 64 != 0 ? 1 : 0);
+    std::size_t exact = 0;
+    const bool overflows = __builtin_mul_overflow(num_pis, chunks, &exact);
+    const std::size_t product = num_pis * chunks;  // wraps when it overflows
+    std::size_t size = rng() % 300;
+    switch (rng() % 4) {
+      case 0:
+        size = product;
+        break;
+      case 1:
+        size = product + (rng() % 2 == 0 ? 1 : top);  // one more or one fewer
+        break;
+      default:
+        break;
+    }
+    if (size > max_words) {
+      size = rng() % 300;
+    }
+    const bool shape_ok = !overflows && exact == size;
+    wrapped += overflows && product == size ? 1 : 0;
+
+    std::vector<std::uint64_t> words(size);
+    for (auto& word : words) {
+      word = rng();
+    }
+    const std::size_t live = num_waves % 64;
+    const std::uint64_t tail = live == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << live) - 1;
+    bool stray = false;
+    if (shape_ok && chunks != 0) {
+      const bool clean = rng() % 2 == 0;
+      for (std::size_t i = 0; i < num_pis; ++i) {
+        std::uint64_t& last = words[i * chunks + chunks - 1];
+        if (clean) {
+          last &= tail;
+        }
+        stray |= (last & ~tail) != 0;
+      }
+    }
+    const auto policy =
+        rng() % 2 == 0 ? wave_batch::tail_bits::mask : wave_batch::tail_bits::reject;
+    const std::string what = "trial " + std::to_string(trial) + ": " + std::to_string(size) +
+                             " words, " + std::to_string(num_pis) + " PIs, " +
+                             std::to_string(num_waves) + " waves";
+
+    std::optional<wave_batch> batch;
+    try {
+      batch = wave_batch::from_plane_words(words, num_pis, num_waves, policy);
+    } catch (const std::invalid_argument&) {
+      EXPECT_TRUE(!shape_ok || (policy == wave_batch::tail_bits::reject && stray)) << what;
+      stray_refused += shape_ok ? 1 : 0;
+      continue;
+    }
+    ASSERT_TRUE(shape_ok) << what;
+    EXPECT_TRUE(policy == wave_batch::tail_bits::mask || !stray) << what;
+    ++accepted;
+    EXPECT_EQ(batch->num_pis(), num_pis) << what;
+    EXPECT_EQ(batch->num_waves(), num_waves) << what;
+    ASSERT_EQ(batch->num_chunks(), chunks) << what;
+    for (std::size_t i = 0; chunks != 0 && i < num_pis; ++i) {
+      for (std::size_t c = 0; c < chunks; ++c) {
+        const std::uint64_t expected = words[i * chunks + c] & (c + 1 == chunks ? tail : ~0ull);
+        ASSERT_EQ(batch->plane(i)[c], expected) << what << ", PI " << i << ", chunk " << c;
+      }
+    }
+  }
+  // Every outcome occurred, including sizes that a wrapped product matches.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(wrapped, 0u);
+  EXPECT_GT(stray_refused, 0u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // The packed kernel below `eval_planes_block`: every instance the running
-// CPU supports (not only the one the engine picks) against the single-word
-// kernel, and the scratch alignment at every 8-byte offset from a cache
-// line. The second needs scratch placed at offsets the system allocator
-// never returns (it aligns to 16 bytes), so this binary replaces the global
-// `operator new` with one that can place the next allocation.
+// CPU supports (not only the one the engine picks), its eval against the
+// generic program evaluation and its transpose against the scalar one,
+// and the scratch alignment at every 8-byte offset from a cache line. The
+// last needs scratch placed at offsets the system allocator never returns
+// (it aligns to 16 bytes), so this binary replaces the global `operator
+// new` with one that can place the next allocation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -81,31 +83,31 @@ std::vector<std::uint64_t> random_planes(std::size_t pis, std::size_t chunks,
   return planes;
 }
 
-/// `eval_words_into` once per chunk: plane-major PO words.
-std::vector<std::uint64_t> single_word_reference(const compiled_netlist& program,
-                                                 const std::vector<std::uint64_t>& planes,
-                                                 std::size_t chunks) {
+/// The generic `compiled_netlist::eval` once per chunk: plane-major PO
+/// words. It reads the complements of all three operands, so it also checks
+/// the one-mask form of the programs, which every kernel instance (and
+/// `eval_words_into`) relies on.
+std::vector<std::uint64_t> generic_reference(const compiled_netlist& program,
+                                             const std::vector<std::uint64_t>& planes,
+                                             std::size_t chunks) {
   std::vector<std::uint64_t> out(program.num_pos() * chunks);
-  std::vector<std::uint64_t> pi_words(program.num_pis());
-  std::vector<std::uint64_t> po_words(program.num_pos());
   std::vector<std::uint64_t> slots;
   for (std::size_t c = 0; c < chunks; ++c) {
-    for (std::size_t i = 0; i < pi_words.size(); ++i) {
-      pi_words[i] = planes[i * chunks + c];
-    }
-    program.eval_words_into(pi_words.data(), po_words.data(), slots);
-    for (std::size_t p = 0; p < po_words.size(); ++p) {
-      out[p * chunks + c] = po_words[p];
+    program.eval([&](std::uint32_t i) { return planes[i * chunks + c]; }, std::uint64_t{0},
+                 slots);
+    for (std::size_t p = 0; p < program.num_pos(); ++p) {
+      out[p * chunks + c] = program.po_value(slots, p);
     }
   }
   return out;
 }
 
-TEST(kernel_instances, every_supported_instance_matches_the_single_word_kernel) {
+TEST(kernel_instances, every_supported_instance_matches_the_generic_program) {
   const auto instances = engine::detail::supported_kernels();
   ASSERT_FALSE(instances.empty());
   EXPECT_STREQ(instances.back().isa, "baseline");
 
+  std::vector<bool> mismatched(instances.size(), false);
   bool saw_complement = false;
   bool saw_in_place = false;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -125,7 +127,7 @@ TEST(kernel_instances, every_supported_instance_matches_the_single_word_kernel) 
         const std::string what = "seed " + std::to_string(seed) + " opt " +
                                  std::to_string(level) + " width " + std::to_string(w);
         const auto planes = random_planes(program.num_pis(), w, seed * 31 + w);
-        const auto expected = single_word_reference(program, planes, w);
+        const auto expected = generic_reference(program, planes, w);
 
         // One slot block as eval_planes_block lays it out; the gate slots
         // start as garbage, which the program must overwrite before reading.
@@ -138,7 +140,8 @@ TEST(kernel_instances, every_supported_instance_matches_the_single_word_kernel) 
         }
 
         std::vector<std::uint64_t> first_block;
-        for (const auto& instance : instances) {
+        for (std::size_t k = 0; k < instances.size(); ++k) {
+          const auto& instance = instances[k];
           std::vector<std::uint64_t> block = initial;
           instance.eval(program.comb_ops().data(), program.num_comb_ops(), block.data(), w);
           std::vector<std::uint64_t> outputs(program.num_pos() * w);
@@ -152,6 +155,9 @@ TEST(kernel_instances, every_supported_instance_matches_the_single_word_kernel) 
             }
           }
           EXPECT_EQ(outputs, expected) << instance.isa << ", " << what;
+          if (outputs != expected) {
+            mismatched[k] = true;
+          }
           // Bit-identical in every slot, not only at the outputs.
           if (first_block.empty()) {
             first_block = block;
@@ -164,8 +170,50 @@ TEST(kernel_instances, every_supported_instance_matches_the_single_word_kernel) 
   }
   EXPECT_TRUE(saw_complement);
   EXPECT_TRUE(saw_in_place);  // slot recycling retargets an operand's slot
-  for (const auto& instance : instances) {
-    std::printf("kernel instance %s: widths 1-8 match eval_words_into\n", instance.isa);
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    std::printf("kernel instance %s: widths 1-8 %s compiled_netlist::eval\n", instances[k].isa,
+                mismatched[k] ? "DIFFER from" : "match");
+  }
+}
+
+TEST(kernel_instances, every_supported_transpose_matches_the_scalar_one) {
+  // Every single-bit tile, then random tiles of three densities.
+  std::vector<std::array<std::uint64_t, 64>> tiles(64 * 64 + 3 * 32);
+  for (std::size_t bit = 0; bit < 64 * 64; ++bit) {
+    tiles[bit][bit / 64] = std::uint64_t{1} << (bit % 64);
+  }
+  std::mt19937_64 rng{64};
+  for (std::size_t t = 64 * 64; t < tiles.size(); ++t) {
+    for (auto& row : tiles[t]) {
+      const std::uint64_t x = rng();
+      row = t % 3 == 0 ? x : t % 3 == 1 ? x & rng() : x | rng();
+    }
+  }
+
+  // The reference itself: bit c of row r moves to bit r of row c.
+  std::vector<std::array<std::uint64_t, 64>> expected = tiles;
+  for (std::size_t bit = 0; bit < 64 * 64; ++bit) {
+    engine::detail::transpose64(expected[bit].data());
+    std::array<std::uint64_t, 64> moved{};
+    moved[bit % 64] = std::uint64_t{1} << (bit / 64);
+    ASSERT_EQ(expected[bit], moved) << "bit " << bit;
+  }
+  for (std::size_t t = 64 * 64; t < tiles.size(); ++t) {
+    engine::detail::transpose64(expected[t].data());
+  }
+
+  for (const auto& instance : engine::detail::supported_kernels()) {
+    std::size_t mismatches = 0;
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      auto tile = tiles[t];
+      instance.transpose(tile.data());
+      if (tile != expected[t]) {
+        ++mismatches;
+        ADD_FAILURE() << instance.isa << ": transpose differs on tile " << t;
+      }
+    }
+    std::printf("kernel instance %s: transpose matches transpose64 on %zu of %zu tiles\n",
+                instance.isa, tiles.size() - mismatches, tiles.size());
   }
 }
 
@@ -174,12 +222,12 @@ TEST(kernel_scratch, blocks_give_the_same_words_at_every_scratch_offset) {
   // holds exactly what eval_planes_block asks for, starting at each 8-byte
   // offset from a 64-byte boundary: the aligned blocks must fit inside it
   // (under ASan any overrun of the alignment pad is a heap overflow) and
-  // give the same words as the single-word kernel.
+  // give the same words as the generic evaluation.
   const auto net = insert_buffers(gen::random_mig({16, 400, 0.5, 12, 99})).net;
   const compiled_netlist program{net, {.opt_level = 2}};
   constexpr std::size_t chunks = 19;
   const auto planes = random_planes(program.num_pis(), chunks, 2026);
-  const auto expected = single_word_reference(program, planes, chunks);
+  const auto expected = generic_reference(program, planes, chunks);
 
   std::vector<std::uint64_t> sizing;
   std::vector<std::uint64_t> outputs(program.num_pos() * chunks);

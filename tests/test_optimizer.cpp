@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "wavemig/buffer_insertion.hpp"
@@ -418,6 +420,98 @@ TEST(optimizer, serving_requests_pin_their_compile_options) {
   EXPECT_EQ(raw_result.words, opt_result.words);
   // Two resident programs: the per-request overrides never cross-served.
   EXPECT_EQ(serving.stats().entries, 2u);
+}
+
+// ------------------------------------------------------- polarity form ---
+
+/// Networks whose majority gates, once their buffers fold, read two and
+/// three complemented operands, plus random MIGs with complemented edges
+/// (their gates hold at most one, in any position).
+std::vector<std::pair<std::string, mig_network>> polarity_networks() {
+  std::vector<std::pair<std::string, mig_network>> nets;
+  {
+    mig_network net;
+    const signal a = net.create_pi();
+    const signal b = net.create_pi();
+    const signal c = net.create_pi();
+    const signal x = net.create_buffer(!a);
+    const signal w = net.create_buffer(!b);
+    net.create_po(net.create_maj(x, w, c));
+    nets.emplace_back("MAJ(BUF(!a), BUF(!b), c)", std::move(net));
+  }
+  {
+    mig_network net;
+    const signal a = net.create_pi();
+    const signal b = net.create_pi();
+    const signal c = net.create_pi();
+    const signal y = net.create_maj(net.create_buffer(!a), net.create_buffer(!b),
+                                    net.create_buffer(!c));
+    net.create_po(y);
+    net.create_po(!y);
+    nets.emplace_back("MAJ(BUF(!a), BUF(!b), BUF(!c))", std::move(net));
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    nets.emplace_back("random seed " + std::to_string(seed),
+                      gen::random_mig({6 + 2 * static_cast<unsigned>(seed),
+                                       60 * static_cast<unsigned>(seed), 0.5, 5, seed * 104729}));
+  }
+  return nets;
+}
+
+TEST(polarity_form, every_op_complements_at_most_its_first_operand) {
+  // The kernel XORs one complement mask per op, on operand a: every program
+  // of every constructor, at every opt level, must be in that form.
+  const unsigned phases = 3;
+  for (const auto& [name, net] : polarity_networks()) {
+    const auto balanced = insert_buffers(net);
+    const auto plan = plan_balance(net);
+    const engine::tick_program ticks{balanced.net, balanced.schedule};
+
+    std::mt19937_64 rng{net.num_nodes()};
+    std::vector<std::vector<bool>> waves(130, std::vector<bool>(net.num_pis()));
+    for (auto& wave : waves) {
+      for (std::size_t i = 0; i < wave.size(); ++i) {
+        wave[i] = (rng() & 1u) != 0;
+      }
+    }
+    const auto batch = engine::wave_batch::from_waves(waves, net.num_pis());
+    const auto oracle = engine::run_waves(ticks, waves, phases);
+
+    for (const unsigned level : {0u, 1u, 2u}) {
+      const compile_options copts{.opt_level = level};
+      const std::pair<const char*, compiled_netlist> programs[] = {
+          {"levels", compiled_netlist{balanced.net, copts}},
+          {"schedule", compiled_netlist{balanced.net, balanced.schedule, copts}},
+          {"balance plan", compiled_netlist{net, plan, copts}},
+          {"comb_only", compiled_netlist::comb_only(net, copts)},
+      };
+      for (const auto& [constructor, program] : programs) {
+        const std::string what = name + ", " + constructor + ", opt " + std::to_string(level);
+        for (std::size_t i = 0; i < program.num_comb_ops(); ++i) {
+          const auto& o = program.comb_ops()[i];
+          EXPECT_EQ((o.b | o.c) & 1u, 0u) << what << ": op " << i;
+        }
+        if (level == 0) {
+          EXPECT_EQ(program.num_comb_ops(), net.num_majorities()) << what;
+        }
+        if (program.wave_coherent(phases)) {
+          const auto packed = engine::run_waves_packed(program, batch, phases);
+          EXPECT_EQ(packed.unpack(), oracle.outputs) << what;
+          EXPECT_EQ(packed.ticks, oracle.ticks) << what;
+        } else {
+          // comb_only carries no clock: run its planes through the kernel.
+          ASSERT_STREQ(constructor, "comb_only");
+          engine::packed_wave_result comb{program.num_pos(), waves.size(), {}};
+          comb.words.resize(program.num_pos() * batch.num_chunks());
+          std::vector<std::uint64_t> scratch;
+          const auto view = batch.view();
+          program.eval_planes_block(view.planes, view.plane_stride, comb.words.data(),
+                                    view.num_chunks, view.num_chunks, scratch);
+          EXPECT_EQ(comb.unpack(), oracle.outputs) << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
